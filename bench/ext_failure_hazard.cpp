@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
         stats::binned_hazard_rate(gaps[static_cast<std::size_t>(t)], edges);
   }
   for (std::size_t b = 0; b + 1 < edges.size(); ++b) {
-    table.add_row({"[" + format_double(edges[b], 0) + ", " +
+    table.add_row({'[' + format_double(edges[b], 0) + ", " +
                        format_double(edges[b + 1], 0) + ")",
                    format_double(rates[0][b], 4),
                    format_double(rates[1][b], 4)});

@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
       ci_table.add_row(
           {std::string(trace::to_string(static_cast<trace::MachineType>(t))),
            format_double(ci.point, 5),
-           "[" + format_double(ci.lo, 5) + ", " + format_double(ci.hi, 5) +
-               "]"});
+           '[' + format_double(ci.lo, 5) + ", " + format_double(ci.hi, 5) +
+               ']'});
     }
     std::cout << ci_table.to_string() << "\n";
   }

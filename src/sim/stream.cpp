@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
+#include <cstdint>
+#include <numeric>
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -59,22 +62,24 @@ TimePoint warp_fraction(const Timeline& tl, const ObservationWindow& window,
   return std::clamp(warped, window.begin, window.end - 1);
 }
 
-struct Entry {
+// A ticket's place in the feed, kept inline so the sort never leaves the
+// key: delivery time, then ticket id; `row` indexes db.tickets().
+struct TicketKey {
   TimePoint at = 0;
-  trace::StreamEventKind kind = trace::StreamEventKind::kTicket;
-  const trace::Ticket* ticket = nullptr;
-  const trace::WeeklyUsage* usage = nullptr;
+  std::int32_t id = 0;
+  std::uint32_t row = 0;
+
+  friend auto operator<=>(const TicketKey&, const TicketKey&) = default;
 };
 
-// Deterministic delivery order: time, then kind, then record identity.
-bool entry_less(const Entry& a, const Entry& b) {
-  if (a.at != b.at) return a.at < b.at;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.kind == trace::StreamEventKind::kTicket) {
-    return a.ticket->id < b.ticket->id;
-  }
-  if (a.usage->server != b.usage->server) return a.usage->server < b.usage->server;
-  return a.usage->week < b.usage->week;
+// finalize() checks the server of crash tickets only, so a background
+// ticket may name no server; it travels with the default machine type.
+trace::MachineType machine_type_of(const trace::TraceDatabase& db,
+                                   trace::ServerId id) {
+  const std::vector<trace::ServerRecord>& servers = db.servers();
+  return id.valid() && static_cast<std::size_t>(id.value) < servers.size()
+             ? servers[static_cast<std::size_t>(id.value)].type
+             : trace::MachineType{};
 }
 
 }  // namespace
@@ -119,56 +124,100 @@ void emit_stream(const trace::TraceDatabase& db,
     ++meta.servers_by_subsystem[s.subsystem];
   }
 
-  std::vector<Entry> entries;
-  entries.reserve(db.tickets().size());
-  for (const trace::Ticket& t : db.tickets()) {
-    Entry e;
-    e.kind = trace::StreamEventKind::kTicket;
-    e.ticket = &t;
-    e.at = t.opened;
+  // Tickets in delivery order: (at, id), those at or past the stream end
+  // dropped.
+  const std::vector<trace::Ticket>& all_tickets = db.tickets();
+  std::vector<TicketKey> tickets;
+  tickets.reserve(all_tickets.size());
+  for (std::size_t row = 0; row < all_tickets.size(); ++row) {
+    const trace::Ticket& t = all_tickets[row];
+    TimePoint at = t.opened;
     if (warp && window.contains(t.opened)) {
       const double u = static_cast<double>(t.opened - window.begin) /
                        static_cast<double>(window.length());
-      e.at = warp_fraction(tl, window, u);
+      at = warp_fraction(tl, window, u);
     }
-    entries.push_back(e);
+    if (at < stream_end) {
+      tickets.push_back({at, t.id.value, static_cast<std::uint32_t>(row)});
+    }
   }
+  std::sort(tickets.begin(), tickets.end());
+
   // A weekly average becomes available at the end of its week; the
   // monitoring cadence is wall-clock, so usage timestamps are never warped.
-  for (const trace::ServerRecord& s : db.servers()) {
-    for (const trace::WeeklyUsage& u : db.weekly_usage_for(s.id)) {
-      Entry e;
-      e.kind = trace::StreamEventKind::kUsage;
-      e.usage = &u;
-      e.at = std::min<TimePoint>(
-          window.begin + static_cast<TimePoint>(u.week + 1) * kMinutesPerWeek,
-          window.end);
-      entries.push_back(e);
-    }
+  // Week w lands in bucket b = w + 1 (earlier weeks in bucket 0), delivered
+  // at window.begin + b weeks; only buckets starting before the stream end
+  // are delivered. finalize() keeps the rows (server, week)-ordered, so a
+  // stable counting sort by bucket yields (at, server, week) order.
+  const auto bucket_of = [](const trace::WeeklyUsage& u) {
+    return static_cast<std::size_t>(
+        std::max<std::int64_t>(0, std::int64_t{u.week} + 1));
+  };
+  const auto buckets = static_cast<std::size_t>(
+      (stream_end - window.begin + kMinutesPerWeek - 1) / kMinutesPerWeek);
+  std::vector<std::size_t> bucket_start(buckets + 1, 0);
+  for (const trace::WeeklyUsage& u : db.weekly_usage()) {
+    const std::size_t b = bucket_of(u);
+    if (b < buckets) ++bucket_start[b + 1];
   }
-  std::sort(entries.begin(), entries.end(), entry_less);
+  std::partial_sum(bucket_start.begin(), bucket_start.end(),
+                   bucket_start.begin());
+  std::vector<const trace::WeeklyUsage*> usage(bucket_start.back());
+  std::vector<std::size_t> fill(bucket_start.begin(), bucket_start.end() - 1);
+  for (const trace::WeeklyUsage& u : db.weekly_usage()) {
+    const std::size_t b = bucket_of(u);
+    if (b < buckets) usage[fill[b]++] = &u;
+  }
 
+  // Merge the two runs, tickets first on equal `at`. Each kind reuses one
+  // event, so the unused payload stays default-constructed and ticket text
+  // keeps its capacity across calls. Rows are copied in an order unrelated
+  // to where they sit in memory, so each delivery prefetches the row its
+  // kind copies kAhead deliveries later (a ticket in two steps: the record,
+  // then its text), and the sink's work in between hides the cache misses.
+  constexpr std::size_t kAhead = 16;
   sink.begin(meta);
-  std::size_t delivered = 0;
-  for (const Entry& e : entries) {
-    if (e.at >= stream_end) break;  // sorted: everything later is cut off too
-    trace::StreamEvent event;
-    event.kind = e.kind;
-    event.at = e.at;
-    if (e.kind == trace::StreamEventKind::kTicket) {
-      event.ticket = *e.ticket;
-      event.ticket.opened = e.at;
-      event.ticket.closed = e.at + e.ticket->repair_time();
-      event.machine_type = db.server(e.ticket->server).type;
-    } else {
-      event.usage = *e.usage;
-      event.machine_type = db.server(e.usage->server).type;
+  trace::StreamEvent ticket_event;
+  ticket_event.kind = trace::StreamEventKind::kTicket;
+  trace::StreamEvent usage_event;
+  usage_event.kind = trace::StreamEventKind::kUsage;
+  std::size_t next_ticket = 0;
+  const auto deliver_tickets_through = [&](TimePoint until) {
+    for (; next_ticket < tickets.size() && tickets[next_ticket].at <= until;
+         ++next_ticket) {
+      if (next_ticket + kAhead < tickets.size()) {
+        __builtin_prefetch(&all_tickets[tickets[next_ticket + kAhead].row]);
+      }
+      if (next_ticket + kAhead / 2 < tickets.size()) {
+        const trace::Ticket& soon =
+            all_tickets[tickets[next_ticket + kAhead / 2].row];
+        __builtin_prefetch(soon.description.data());
+        __builtin_prefetch(soon.resolution.data());
+      }
+      const TicketKey& key = tickets[next_ticket];
+      const trace::Ticket& t = all_tickets[key.row];
+      ticket_event.at = key.at;
+      ticket_event.machine_type = machine_type_of(db, t.server);
+      ticket_event.ticket = t;
+      ticket_event.ticket.opened = key.at;
+      ticket_event.ticket.closed = key.at + t.repair_time();
+      sink.on_event(ticket_event);
     }
-    sink.on_event(event);
-    ++delivered;
+  };
+  for (std::size_t b = 0; b < buckets; ++b) {
+    usage_event.at =
+        window.begin + static_cast<TimePoint>(b) * kMinutesPerWeek;
+    deliver_tickets_through(usage_event.at);
+    for (std::size_t i = bucket_start[b]; i < bucket_start[b + 1]; ++i) {
+      if (i + kAhead < usage.size()) __builtin_prefetch(usage[i + kAhead]);
+      usage_event.machine_type = db.server(usage[i]->server).type;
+      usage_event.usage = *usage[i];
+      sink.on_event(usage_event);
+    }
   }
+  deliver_tickets_through(stream_end);
   sink.finish(stream_end);
-  obs::counter("fa.detect.stream.emitted").add(delivered);
+  obs::counter("fa.detect.stream.emitted").add(tickets.size() + usage.size());
 }
 
 }  // namespace fa::sim

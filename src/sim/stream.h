@@ -52,10 +52,17 @@ struct StreamScenario {
 };
 
 // Replays `db` (finalized) into `sink` as a merged, timestamp-ordered
-// event stream: begin(meta), every ticket opening + weekly usage sample in
-// `at` order, finish(end). Deterministic: equal inputs produce an identical
-// delivery sequence at any thread count (the emitter itself is serial; its
-// cost is one sort over the event index).
+// event stream: begin(meta), every ticket opening and weekly usage sample
+// before the stream end, finish(end). A ticket's `at` is its (warped)
+// opening time; week w's usage sample is available at the end of the week,
+// window.begin + (w + 1) weeks, clamped into the window. Delivery order is
+// total: by `at`, tickets before usage samples, tickets by id, usage
+// samples by server, then week. A ticket whose server is not in the
+// inventory (finalize() allows that for background tickets) is delivered
+// with the default machine type, so StreamEvent::machine_type is meaningful
+// only for tickets with a server. Deterministic and serial; for T tickets
+// and U usage rows the cost is O(T log T + U): one sort of the tickets on
+// inline keys, one counting sort of the usage rows by week, one merge.
 void emit_stream(const trace::TraceDatabase& db,
                  const StreamScenario& scenario, trace::StreamSink& sink);
 

@@ -64,7 +64,7 @@ std::string BinSpec::label(std::size_t bin) const {
     return format_double(lo, 0);
   }
   const int prec = integral ? 0 : 2;
-  return "[" + format_double(lo, prec) + ", " + format_double(hi, prec) + ")";
+  return '[' + format_double(lo, prec) + ", " + format_double(hi, prec) + ')';
 }
 
 Histogram::Histogram(BinSpec spec)

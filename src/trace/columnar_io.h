@@ -121,7 +121,7 @@ struct DegradedReadReport {
 struct WriterOptions {
   std::uint32_t chunk_rows = kDefaultChunkRows;
   std::uint32_t checkpoint_every_chunks = 0;
-  io::RetryPolicy retry;
+  io::RetryPolicy retry{};
   io::Clock* clock = nullptr;  // nullptr: real clock
 };
 

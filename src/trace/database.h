@@ -59,6 +59,10 @@ class TraceDatabase {
   // ---- whole-table access ----
   const std::vector<ServerRecord>& servers() const { return servers_; }
   const std::vector<Ticket>& tickets() const { return tickets_; }
+  // Ordered by (server, week) once finalized.
+  const std::vector<WeeklyUsage>& weekly_usage() const {
+    return weekly_usage_;
+  }
 
   // ---- point lookups ----
   const ServerRecord& server(ServerId id) const;

@@ -35,7 +35,8 @@ enum class StreamEventKind : std::uint8_t {
 
 // One element of the merged feed. Exactly one payload is meaningful,
 // selected by `kind`; `machine_type` is denormalized from the inventory so
-// sinks can stratify by PM/VM without holding the server table.
+// sinks can stratify by PM/VM without holding the server table (a ticket
+// without a server carries the default).
 struct StreamEvent {
   StreamEventKind kind = StreamEventKind::kTicket;
   TimePoint at = 0;  // ticket opening time / usage availability time

@@ -219,6 +219,27 @@ TEST(OnlineDetector, RecurrenceTracksRepeatOffenders) {
   EXPECT_DOUBLE_EQ(report.recurrence_fraction(), 0.25);
 }
 
+TEST(OnlineDetector, CountsStreamedTicketWithoutServer) {
+  // finalize() accepts a background ticket that names no server; the
+  // emitter delivers it and the detector counts it as a ticket.
+  fa::testing::TinyDbBuilder b;
+  const auto pm = b.add_pm(0);
+  b.add_crash(pm, 5.0, 1.0);
+  trace::Ticket orphan;
+  orphan.opened = ticket_window().begin + from_days(6.0);
+  orphan.closed = orphan.opened + from_hours(1.0);
+  orphan.description = "background check";
+  b.raw().add_ticket(orphan);
+  const auto db = b.finish();
+  OnlineDetector detector;
+  sim::emit_stream(db, {}, detector);
+  const DetectorReport& report = detector.report();
+  EXPECT_EQ(report.events, 2u);
+  EXPECT_EQ(report.tickets, 2u);
+  EXPECT_EQ(report.crash_tickets, 1u);
+  EXPECT_EQ(stratum(report, "all").crashes, 1u);
+}
+
 TEST(OnlineDetector, StreamEndingMidWindowViaCutoff) {
   const auto& db = fa::testing::small_simulated_db();
   sim::StreamScenario scenario;

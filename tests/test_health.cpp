@@ -161,14 +161,15 @@ TEST(OnlineDetector, DetectionLagRecordsOnsetOfRateAlerts) {
   // (>= 24 incidents inside the 8-week warmup).
   int id = 0;
   for (int i = 0; i < 28; ++i) {
-    detector.on_event(crash_event(++id, id, i % 10, 1.0 + 2.0 * i));
+    ++id;
+    detector.on_event(crash_event(id, id, i % 10, 1.0 + 2.0 * i));
   }
   // Post-warmup burst: 20 crashes/day is a ~40x rate step, which walks the
   // CUSUM past the threshold within a couple of ticks.
   for (int day = 0; day < 6; ++day) {
     for (int k = 0; k < 20; ++k) {
-      detector.on_event(
-          crash_event(++id, id, k % 10, 60.0 + day + 0.04 * k));
+      ++id;
+      detector.on_event(crash_event(id, id, k % 10, 60.0 + day + 0.04 * k));
     }
   }
   detector.finish(ticket_window().begin + from_days(70.0));

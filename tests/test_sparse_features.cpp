@@ -94,7 +94,9 @@ TEST(SparseFeatures, RowNormsMatchWeights) {
     }
     EXPECT_DOUBLE_EQ(sparse.row_norm_sq(i), norm_sq);
     // L2-normalized documents have unit norm; empty documents zero.
-    if (row.size() > 0) EXPECT_NEAR(sparse.row_norm_sq(i), 1.0, 1e-12);
+    if (row.size() > 0) {
+      EXPECT_NEAR(sparse.row_norm_sq(i), 1.0, 1e-12);
+    }
   }
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "src/analysis/out_of_core.h"
@@ -44,6 +47,180 @@ StreamScenario shift_at_day(double day, double factor) {
   StreamScenario scenario;
   scenario.shifts.push_back({ticket_window().begin + from_days(day), factor});
   return scenario;
+}
+
+// ---- the documented delivery order, materialized by brute force ----
+
+trace::MachineType machine_type_of(const trace::TraceDatabase& db,
+                                   trace::ServerId id) {
+  return id.valid() && static_cast<std::size_t>(id.value) < db.servers().size()
+             ? db.server(id).type
+             : trace::MachineType{};
+}
+
+// Every event with its `at`, stable-sorted by time, tickets before usage,
+// ticket id, then server and week; events at or past the stream end
+// dropped.
+std::vector<trace::StreamEvent> oracle_stream(const trace::TraceDatabase& db,
+                                              const StreamScenario& scenario) {
+  const ObservationWindow& w = db.window();
+  std::vector<trace::StreamEvent> events;
+  for (const trace::Ticket& t : db.tickets()) {
+    trace::StreamEvent e;
+    e.kind = trace::StreamEventKind::kTicket;
+    e.at = warp_time(scenario, w, t.opened);
+    e.machine_type = machine_type_of(db, t.server);
+    e.ticket = t;
+    e.ticket.opened = e.at;
+    e.ticket.closed = e.at + t.repair_time();
+    events.push_back(std::move(e));
+  }
+  for (const trace::ServerRecord& s : db.servers()) {
+    for (const trace::WeeklyUsage& u : db.weekly_usage_for(s.id)) {
+      trace::StreamEvent e;
+      e.kind = trace::StreamEventKind::kUsage;
+      e.at = std::clamp(
+          w.begin + (TimePoint{u.week} + 1) * kMinutesPerWeek, w.begin, w.end);
+      e.machine_type = s.type;
+      e.usage = u;
+      events.push_back(std::move(e));
+    }
+  }
+  const auto delivery_less = [](const trace::StreamEvent& a,
+                                const trace::StreamEvent& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.kind != b.kind) return a.kind < b.kind;  // tickets first
+    if (a.kind == trace::StreamEventKind::kTicket) {
+      return a.ticket.id < b.ticket.id;
+    }
+    return std::tie(a.usage.server, a.usage.week) <
+           std::tie(b.usage.server, b.usage.week);
+  };
+  std::stable_sort(events.begin(), events.end(), delivery_less);
+  const TimePoint end = scenario.cutoff > 0 ? scenario.cutoff : w.end;
+  std::erase_if(events,
+                [end](const trace::StreamEvent& e) { return e.at >= end; });
+  return events;
+}
+
+bool same_ticket(const trace::Ticket& a, const trace::Ticket& b) {
+  return std::tie(a.id, a.incident, a.server, a.subsystem, a.is_crash,
+                  a.true_class, a.opened, a.closed, a.description,
+                  a.resolution) ==
+         std::tie(b.id, b.incident, b.server, b.subsystem, b.is_crash,
+                  b.true_class, b.opened, b.closed, b.description,
+                  b.resolution);
+}
+
+bool same_usage(const trace::WeeklyUsage& a, const trace::WeeklyUsage& b) {
+  return std::tie(a.server, a.week, a.cpu_util, a.mem_util, a.disk_util,
+                  a.net_kbps) == std::tie(b.server, b.week, b.cpu_util,
+                                          b.mem_util, b.disk_util, b.net_kbps);
+}
+
+bool same_event(const trace::StreamEvent& a, const trace::StreamEvent& b) {
+  return a.kind == b.kind && a.at == b.at && a.machine_type == b.machine_type &&
+         same_ticket(a.ticket, b.ticket) && same_usage(a.usage, b.usage);
+}
+
+std::string render(const trace::StreamEvent& e) {
+  std::ostringstream out;
+  out << "kind=" << static_cast<int>(e.kind) << " at=" << e.at
+      << " type=" << static_cast<int>(e.machine_type)
+      << " ticket{id=" << e.ticket.id.value
+      << " server=" << e.ticket.server.value
+      << " opened=" << e.ticket.opened << " closed=" << e.ticket.closed
+      << " '" << e.ticket.description << "'} usage{server="
+      << e.usage.server.value << " week=" << e.usage.week
+      << " cpu=" << e.usage.cpu_util << "}";
+  return out.str();
+}
+
+// The scenarios the oracle is checked on: no shift, x4 at day 180, two
+// shifts, a cutoff mid-week and a cutoff exactly on a week end.
+std::vector<std::pair<std::string, StreamScenario>> oracle_scenarios() {
+  const ObservationWindow w = ticket_window();
+  std::vector<std::pair<std::string, StreamScenario>> scenarios;
+  scenarios.emplace_back("stationary", StreamScenario{});
+  scenarios.emplace_back("x4 at day 180", shift_at_day(180, 4.0));
+  StreamScenario two = shift_at_day(90, 3.0);
+  two.shifts.push_back({w.begin + from_days(250), 0.5});
+  scenarios.emplace_back("two shifts", two);
+  StreamScenario mid_week = shift_at_day(180, 4.0);
+  mid_week.cutoff = w.begin + 30 * kMinutesPerWeek + from_hours(81.5);
+  scenarios.emplace_back("cutoff mid-week", mid_week);
+  StreamScenario week_end;
+  week_end.cutoff = w.begin + 20 * kMinutesPerWeek;
+  scenarios.emplace_back("cutoff on a week end", week_end);
+  return scenarios;
+}
+
+void expect_matches_oracle(const trace::TraceDatabase& db) {
+  for (const auto& [name, scenario] : oracle_scenarios()) {
+    SCOPED_TRACE(name);
+    RecordingSink sink;
+    emit_stream(db, scenario, sink);
+    const std::vector<trace::StreamEvent> expected =
+        oracle_stream(db, scenario);
+    ASSERT_EQ(sink.events.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const trace::StreamEvent& e = sink.events[i];
+      ASSERT_TRUE(same_event(e, expected[i]))
+          << "event " << i << "\n  got:  " << render(e)
+          << "\n  want: " << render(expected[i]);
+      // The payload the kind does not select is default-constructed.
+      ASSERT_TRUE(e.kind == trace::StreamEventKind::kTicket
+                      ? same_usage(e.usage, trace::WeeklyUsage{})
+                      : same_ticket(e.ticket, trace::Ticket{}))
+          << "event " << i << ": " << render(e);
+    }
+  }
+}
+
+// A hand-built trace full of ties: tickets sharing a minute, a ticket on a
+// week-end instant (and on the week-end cutoff), many servers' rows in one
+// week, rows before and after the window, a ticket before the window and a
+// background ticket without a server; rows and tickets are added out of
+// delivery order.
+trace::TraceDatabase tie_heavy_db() {
+  fa::testing::TinyDbBuilder b;
+  std::vector<trace::ServerId> servers;
+  for (int i = 0; i < 6; ++i) {
+    servers.push_back(b.add_vm(static_cast<trace::Subsystem>(i % 5)));
+    servers.push_back(b.add_pm(static_cast<trace::Subsystem>(i % 5)));
+  }
+  b.add_crash(servers[3], 200.25, 4.0);
+  b.add_crash(servers[1], 10.5, 2.0);
+  b.add_crash(servers[0], 10.5, 3.0);   // same minute as the one above
+  b.add_background(servers[2], 10.5);   // and a third
+  b.add_crash(servers[4], 35.0, 1.0);   // end of week 4, when its rows land
+  b.add_crash(servers[5], 140.0, 1.0);  // on the week-end cutoff (week 20)
+  b.add_crash(servers[6], -2.0, 1.0);   // before the window
+  b.add_background(servers[7], 364.9);
+  trace::Ticket orphan;
+  orphan.opened = ticket_window().begin + from_days(35.0);
+  orphan.closed = orphan.opened + from_hours(5.0);
+  orphan.description = "background check without a server";
+  b.raw().add_ticket(orphan);
+  for (std::size_t s = servers.size(); s-- > 0;) {
+    for (int week = 55; week >= -3; --week) {
+      trace::WeeklyUsage u;
+      u.server = servers[s];
+      u.week = week;
+      u.cpu_util = static_cast<double>(s) + 0.01 * week;
+      u.mem_util = 50.0;
+      b.raw().add_weekly_usage(u);
+    }
+  }
+  return b.finish();
+}
+
+TEST(EmitStream, DeliveryOrderMatchesOracleOnSimulatedTrace) {
+  expect_matches_oracle(fa::testing::small_simulated_db());
+}
+
+TEST(EmitStream, DeliveryOrderMatchesOracleOnTieHeavyTrace) {
+  expect_matches_oracle(tie_heavy_db());
 }
 
 TEST(StreamScenario, ChangePointsSkipNoOpShifts) {
