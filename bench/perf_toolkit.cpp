@@ -1,6 +1,5 @@
 // Performance toolkit. Default mode times the pipeline stages (simulate,
-// classify) serial vs parallel and cache-cold vs cache-warm, breaks the
-// classify stage into vectorize/kmeans sub-stages timed dense vs sparse
+// classify) serial vs parallel, breaks the classify stage into vectorize/kmeans sub-stages timed dense vs sparse
 // (with an assignments-identical cross-check), times trace save/load CSV
 // vs columnar (with a record-identity and out-of-core-equivalence check),
 // checks that the parallel trace is identical to the serial one, times the
@@ -33,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/analysis/artifact_cache.h"
 #include "src/analysis/classification.h"
 #include "src/analysis/out_of_core.h"
 #include "src/detect/serve.h"
@@ -279,18 +277,6 @@ int run_stage_report(double scale, const std::string& json_path) {
   const std::size_t simd_elements = std::size_t{1} << 14;
   const auto simd_kernels = run_simd_report(simd_elements, 2000);
 
-  // simulate+classify through the artifact cache: cold miss vs warm hit.
-  auto& cache = analysis::ArtifactCache::global();
-  cache.clear();
-  t0 = Clock::now();
-  const auto cold = analysis::cached_context(config);
-  const double cache_cold = ms_since(t0);
-  t0 = Clock::now();
-  const auto warm = analysis::cached_context(config);
-  const double cache_warm = ms_since(t0);
-  const bool cache_shared = cold.db.get() == warm.db.get() &&
-                            cold.pipeline.get() == warm.pipeline.get();
-
   // Trace IO: save/load the same database as CSV and as the chunked
   // columnar format, cross-checking record identity and that the
   // out-of-core chunk summary matches the in-memory one.
@@ -476,16 +462,6 @@ int run_stage_report(double scale, const std::string& json_path) {
                to_days(detect_result.score.median_latency()));
   std::fprintf(out, "    \"pipeline_ms\": %.3f,\n", detect_ms);
   std::fprintf(out, "    \"events_per_sec\": %.0f\n", detect_events_per_sec);
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"cache\": {\n");
-  std::fprintf(out, "    \"cold_ms\": %.3f,\n", cache_cold);
-  std::fprintf(out, "    \"warm_ms\": %.3f,\n", cache_warm);
-  std::fprintf(out, "    \"speedup\": %.1f,\n",
-               cache_warm > 0.0 ? cache_cold / cache_warm : 0.0);
-  std::fprintf(out, "    \"shared_objects\": %s,\n",
-               cache_shared ? "true" : "false");
-  std::fprintf(out, "    \"hits\": %zu,\n", cache.hits());
-  std::fprintf(out, "    \"misses\": %zu\n", cache.misses());
   std::fprintf(out, "  }\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
@@ -520,8 +496,6 @@ int run_stage_report(double scale, const std::string& json_path) {
     std::printf("  %-17s scalar %.1f ms, simd %.1f ms (%.1fx)\n",
                 k.name.c_str(), k.scalar_ms, k.simd_ms, k.speedup());
   }
-  std::printf("cache:    cold %.1f ms, warm %.3f ms (shared: %s)\n",
-              cache_cold, cache_warm, cache_shared ? "yes" : "NO");
   std::printf(
       "io:       save csv %.1f ms / columnar %.1f ms, load csv %.1f ms / "
       "columnar %.1f ms (%.1fx)\n",
@@ -540,7 +514,7 @@ int run_stage_report(double scale, const std::string& json_path) {
       detect_result.score.precision(), detect_result.score.recall(),
       to_days(detect_result.score.median_latency()));
   std::printf("wrote %s\n", json_path.c_str());
-  return identical && cache_shared && sparse_matches_dense && io_identical &&
+  return identical && sparse_matches_dense && io_identical &&
                  out_of_core_matches && detect_ok
              ? 0
              : 1;

@@ -1,6 +1,6 @@
 // End-to-end analysis pipeline: crash extraction + ticket classification run
 // once over a trace database, with the derived lookups every downstream
-// analysis (and every bench binary) consumes.
+// analysis (and every fa_repro experiment) consumes.
 #pragma once
 
 #include <memory>

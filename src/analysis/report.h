@@ -1,5 +1,5 @@
-// Plain-text table rendering for the experiment reports printed by the
-// bench binaries and examples.
+// Plain-text table rendering for the experiment reports printed by
+// fa_repro and the examples.
 #pragma once
 
 #include <string>

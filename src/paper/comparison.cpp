@@ -33,6 +33,31 @@ int Comparison::failed_checks() const {
   return failed;
 }
 
+std::vector<std::string> Comparison::deviation_mismatches(
+    const std::vector<std::string>& known_deviations) const {
+  const auto is_known = [&](const std::string& description) {
+    return std::find(known_deviations.begin(), known_deviations.end(),
+                     description) != known_deviations.end();
+  };
+  std::vector<std::string> mismatches;
+  for (const Check& c : checks_) {
+    if (!c.passed && !is_known(c.description)) {
+      mismatches.push_back("unexpected CHECK: " + c.description);
+    } else if (c.passed && is_known(c.description)) {
+      mismatches.push_back("known deviation now passes: " + c.description);
+    }
+  }
+  for (const std::string& known : known_deviations) {
+    const bool checked =
+        std::any_of(checks_.begin(), checks_.end(),
+                    [&](const Check& c) { return c.description == known; });
+    if (!checked) {
+      mismatches.push_back("known deviation is not checked: " + known);
+    }
+  }
+  return mismatches;
+}
+
 std::string Comparison::render() const {
   std::string out = "== " + title_ + " ==\n";
 

@@ -1,6 +1,7 @@
-// Paper-vs-measured comparison formatting shared by the bench binaries:
-// every experiment prints rows of (metric, paper value, measured value) plus
-// a PASS/CHECK verdict on the qualitative "shape" criteria.
+// Paper-vs-measured comparison formatting shared by the experiment
+// reproductions: every experiment prints rows of (metric, paper value,
+// measured value) plus a PASS/CHECK verdict on the qualitative "shape"
+// criteria, and its verdicts are gated against its known deviations.
 #pragma once
 
 #include <string>
@@ -25,6 +26,14 @@ class Comparison {
   std::string render() const;
   bool all_checks_passed() const;
   int failed_checks() const;
+
+  // The verdict gate: the failed checks must be exactly
+  // `known_deviations` (check descriptions). Returns one line per
+  // mismatch -- a CHECK that is not a known deviation, or a known
+  // deviation that passes or is not checked at all; empty means the
+  // verdicts are as expected.
+  std::vector<std::string> deviation_mismatches(
+      const std::vector<std::string>& known_deviations) const;
 
  private:
   struct Row {

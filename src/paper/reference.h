@@ -1,5 +1,5 @@
 // Every number the paper reports, as typed constants. Used by the simulator
-// calibration tests and by the bench binaries to print paper-vs-measured
+// calibration tests and by fa_repro to print paper-vs-measured
 // comparisons. Values marked "approx" are read off figures rather than
 // stated in text/tables.
 #pragma once

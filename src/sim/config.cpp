@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "src/util/error.h"
 
@@ -202,127 +201,6 @@ SimulationConfig SimulationConfig::scaled(double factor) const {
         sys.vm_crash_tickets == 0 ? 0 : scale(sys.vm_crash_tickets);
   }
   return c;
-}
-
-namespace {
-
-// FNV-1a-style accumulator with typed feeds; doubles are hashed by bit
-// pattern, so the fingerprint is exact (no epsilon), matching the exactness
-// of the simulation itself.
-class Fingerprint {
- public:
-  void feed(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
-    }
-  }
-  void feed(int v) { feed(static_cast<std::uint64_t>(static_cast<std::uint32_t>(v))); }
-  void feed(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    feed(bits);
-  }
-  template <typename T>
-  void feed(const std::vector<T>& xs) {
-    feed(static_cast<std::uint64_t>(xs.size()));
-    for (const T& x : xs) feed(x);
-  }
-  template <typename T, std::size_t N>
-  void feed(const std::array<T, N>& xs) {
-    for (const T& x : xs) feed(x);
-  }
-  void feed(const DiscreteSpec& s) {
-    feed(s.values);
-    feed(s.weights);
-  }
-  void feed(const MultiplierCurve& c) {
-    feed(c.edges);
-    feed(c.multipliers);
-  }
-  void feed(const PopulationSpec& p) {
-    feed(p.pm_count);
-    feed(p.vm_count);
-    feed(p.all_tickets);
-    feed(p.pm_crash_tickets);
-    feed(p.vm_crash_tickets);
-    feed(p.other_fraction);
-    feed(p.class_mix);
-  }
-  void feed(const AftershockSpec& a) {
-    feed(a.probability);
-    feed(a.delay_median_minutes);
-    feed(a.delay_sigma);
-    feed(a.same_class_probability);
-  }
-  void feed(const IncidentSizeSpec& s) {
-    feed(s.multi_probability);
-    feed(s.pareto_alpha);
-    feed(s.max_extra);
-  }
-  void feed(const RepairSpec& r) {
-    feed(r.mean_hours);
-    feed(r.median_hours);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-}  // namespace
-
-std::uint64_t SimulationConfig::fingerprint() const {
-  Fingerprint fp;
-  fp.feed(seed);
-  fp.feed(systems);
-  fp.feed(pm_class_boost);
-  fp.feed(vm_class_boost);
-  fp.feed(pm_aftershock);
-  fp.feed(vm_aftershock);
-  fp.feed(incident_size);
-  fp.feed(incident_size_vm);
-  fp.feed(queueing.median_hours);
-  fp.feed(queueing.sigma);
-  fp.feed(repair);
-  fp.feed(pm_cpu_count);
-  fp.feed(vm_cpu_count);
-  fp.feed(pm_memory_gb);
-  fp.feed(vm_memory_gb);
-  fp.feed(vm_disk_gb);
-  fp.feed(vm_disk_count);
-  fp.feed(vm_onoff_per_month);
-  fp.feed(box_capacity);
-  fp.feed(cpu_util_mixture);
-  fp.feed(pm_mem_util_mixture);
-  fp.feed(vm_mem_util_mixture);
-  fp.feed(vm_disk_util_mixture);
-  fp.feed(vm_net_kbps_mixture);
-  fp.feed(pm_cpu_curve);
-  fp.feed(vm_cpu_curve);
-  fp.feed(pm_mem_curve);
-  fp.feed(vm_mem_curve);
-  fp.feed(vm_disk_cap_curve);
-  fp.feed(vm_disk_count_curve);
-  fp.feed(pm_cpu_util_curve);
-  fp.feed(vm_cpu_util_curve);
-  fp.feed(pm_mem_util_curve);
-  fp.feed(vm_mem_util_curve);
-  fp.feed(vm_disk_util_curve);
-  fp.feed(vm_net_curve);
-  fp.feed(vm_consolidation_curve);
-  fp.feed(vm_onoff_curve);
-  fp.feed(vm_age_curve);
-  fp.feed(vm_precreated_fraction);
-  fp.feed(usage_weekly_jitter);
-  fp.feed(monitoring_loss_min_size);
-  fp.feed(monitoring_loss_probability);
-  fp.feed(pm_calibration_boost);
-  fp.feed(vm_calibration_boost);
-  fp.feed(text_style.signature_words);
-  fp.feed(text_style.generic_words);
-  fp.feed(text_style.confusion_probability);
-  return fp.value();
 }
 
 }  // namespace fa::sim

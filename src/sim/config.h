@@ -192,11 +192,6 @@ struct SimulationConfig {
   // `factor`): shrunk for fast tests, grown (factor > 1) for out-of-core
   // scale runs.
   SimulationConfig scaled(double factor) const;
-
-  // Stable 64-bit fingerprint over every field (including the seed): equal
-  // fingerprints <=> simulate() produces the identical trace. Used as the
-  // memoization key of fa::analysis::ArtifactCache.
-  std::uint64_t fingerprint() const;
 };
 
 }  // namespace fa::sim

@@ -1,6 +1,7 @@
 #include "src/util/thread_pool.h"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -199,6 +200,17 @@ void ThreadPool::set_default_thread_count(std::size_t threads) {
 std::size_t ThreadPool::default_thread_count() {
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   return g_requested_threads;
+}
+
+std::optional<std::size_t> ThreadPool::parse_thread_count(
+    std::string_view text) {
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, n);
+  if (error != std::errc() || stop != end || n > kMaxThreads) {
+    return std::nullopt;
+  }
+  return n;
 }
 
 std::size_t ThreadPool::hardware_threads() {

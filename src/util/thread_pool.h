@@ -13,6 +13,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,6 +46,13 @@ class ThreadPool {
   // when the size actually changes.
   static void set_default_thread_count(std::size_t threads);
   static std::size_t default_thread_count();
+
+  // Largest thread count a --threads flag may request.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  // Parses a --threads value: decimal digits only, 0..kMaxThreads (0 = all
+  // cores). A sign, blank, trailing text or larger value yields nullopt.
+  static std::optional<std::size_t> parse_thread_count(std::string_view text);
 
   // std::thread::hardware_concurrency() with a floor of 1.
   static std::size_t hardware_threads();

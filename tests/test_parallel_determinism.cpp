@@ -1,13 +1,11 @@
 // The parallel execution layer must be a pure scheduling concern: every
 // artifact (simulated trace, analysis pipeline, k-means, bootstrap) has to
 // be bit-identical no matter how many threads run it. These tests pin that
-// contract at 1, 2 and 8 threads, and cover the artifact-cache identity
-// guarantees the bench layer relies on.
+// contract at 1, 2 and 8 threads, and cover the --threads value parser.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "src/analysis/artifact_cache.h"
 #include "src/analysis/pipeline.h"
 #include "src/sim/simulator.h"
 #include "src/stats/bootstrap.h"
@@ -129,52 +127,20 @@ TEST_F(ParallelDeterminism, BootstrapIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ArtifactCache, SameConfigSharesOneObject) {
-  auto& cache = analysis::ArtifactCache::global();
-  cache.set_enabled(true);
-  cache.clear();
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.03);
-  const auto a = cache.database(config);
-  const auto b = cache.database(config);
-  EXPECT_EQ(a.get(), b.get());
-  const auto p1 = cache.pipeline(config);
-  const auto p2 = cache.pipeline(config);
-  EXPECT_EQ(p1.get(), p2.get());
-  EXPECT_GE(cache.hits(), 2u);
+TEST(ThreadCountFlag, AcceptsDigitsUpToTheLimit) {
+  EXPECT_EQ(ThreadPool::parse_thread_count("0"), 0u);
+  EXPECT_EQ(ThreadPool::parse_thread_count("1"), 1u);
+  EXPECT_EQ(ThreadPool::parse_thread_count("08"), 8u);
+  EXPECT_EQ(ThreadPool::parse_thread_count("1024"), ThreadPool::kMaxThreads);
 }
 
-TEST(ArtifactCache, DifferentConfigsGetDifferentObjects) {
-  auto& cache = analysis::ArtifactCache::global();
-  cache.set_enabled(true);
-  cache.clear();
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.03);
-  auto other = config;
-  other.seed += 1;
-  EXPECT_NE(config.fingerprint(), other.fingerprint());
-  const auto a = cache.database(config);
-  const auto b = cache.database(other);
-  EXPECT_NE(a.get(), b.get());
-}
-
-TEST(ArtifactCache, DisabledCacheRebuilds) {
-  auto& cache = analysis::ArtifactCache::global();
-  cache.clear();
-  cache.set_enabled(false);
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.03);
-  const auto a = cache.database(config);
-  const auto b = cache.database(config);
-  EXPECT_NE(a.get(), b.get());
-  cache.set_enabled(true);
-}
-
-TEST(ArtifactCache, CachedContextTiesDbToPipeline) {
-  auto& cache = analysis::ArtifactCache::global();
-  cache.set_enabled(true);
-  cache.clear();
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.03);
-  const auto ctx = analysis::cached_context(config);
-  // The pipeline analyzes exactly the cached database object.
-  EXPECT_EQ(&ctx.pipeline->db(), ctx.db.get());
+TEST(ThreadCountFlag, RejectsEverythingElse) {
+  for (const char* text :
+       {"", "-1", "+1", " 1", "1 ", "banana", "4x", "0x10", "1e3", "1.5",
+        "1025", "99999999999", "18446744073709551616"}) {
+    EXPECT_EQ(ThreadPool::parse_thread_count(text), std::nullopt)
+        << "'" << text << "'";
+  }
 }
 
 TEST(ParallelFor, PropagatesExceptions) {

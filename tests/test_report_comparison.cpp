@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/analysis/report.h"
 #include "src/paper/comparison.h"
 #include "src/paper/reference.h"
@@ -53,6 +56,36 @@ TEST(Comparison, AllPassedVerdict) {
   EXPECT_TRUE(cmp.all_checks_passed());
   EXPECT_NE(cmp.render().find("all shape criteria reproduced"),
             std::string::npos);
+}
+
+TEST(Comparison, GatePassesWhenCheckFailsAsKnown) {
+  paperref::Comparison cmp("t");
+  cmp.check("holds", true);
+  cmp.check("known deviation", false);
+  EXPECT_TRUE(cmp.deviation_mismatches({"known deviation"}).empty());
+}
+
+TEST(Comparison, GateFailsOnUnexpectedCheck) {
+  paperref::Comparison cmp("t");
+  cmp.check("holds", true);
+  cmp.check("regressed", false);
+  EXPECT_EQ(cmp.deviation_mismatches({}),
+            std::vector<std::string>{"unexpected CHECK: regressed"});
+}
+
+TEST(Comparison, GateFailsWhenKnownDeviationPasses) {
+  paperref::Comparison cmp("t");
+  cmp.check("fixed now", true);
+  EXPECT_EQ(cmp.deviation_mismatches({"fixed now"}),
+            std::vector<std::string>{"known deviation now passes: fixed now"});
+}
+
+TEST(Comparison, GateFailsOnKnownDeviationThatIsNotChecked) {
+  paperref::Comparison cmp("t");
+  cmp.check("holds", true);
+  EXPECT_EQ(
+      cmp.deviation_mismatches({"renamed check"}),
+      std::vector<std::string>{"known deviation is not checked: renamed check"});
 }
 
 TEST(Reference, InternalConsistency) {

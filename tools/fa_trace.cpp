@@ -23,8 +23,7 @@
 //       fail their checksum are skipped, the degraded-read report is
 //       printed, and the analysis is marked as covering partial data.
 //       Without DIR, the report runs on a default simulated trace
-//       (paper defaults scaled by --scale, default 0.1) via the artifact
-//       cache — no files needed.
+//       (paper defaults scaled by --scale, default 0.1) — no files needed.
 //
 //   fa_trace profile [COMMAND ...]
 //       Run any fa_trace command (default: report on the default
@@ -128,8 +127,8 @@
 //       Print the same-server weekly failure class-transition matrix.
 //
 // Global flags (any command):
-//   --threads N       worker threads for parallel stages (0 = all cores)
-//   --no-cache        disable the in-process artifact cache
+//   --threads N       worker threads for parallel stages (0 = all cores,
+//                     at most 1024)
 //   --no-obs          turn off metric/span recording at runtime
 //   --metrics PATH    write the metrics JSON snapshot before exiting
 //   --trace-out PATH  write the Chrome trace-event JSON before exiting
@@ -153,7 +152,6 @@
 #include <tuple>
 #include <vector>
 
-#include "src/analysis/artifact_cache.h"
 #include "src/analysis/failure_rates.h"
 #include "src/analysis/interfailure.h"
 #include "src/analysis/out_of_core.h"
@@ -218,8 +216,8 @@ int usage() {
          "  fa_trace corrupt --in DIR --out DIR [--seed N] [--rate R]\n"
          "                   [--mix class=rate,...] [--counts-csv FILE]\n"
          "  fa_trace profile [COMMAND ...]\n"
-         "global flags: --threads N, --no-cache, --no-obs,\n"
-         "              --metrics PATH, --trace-out PATH\n"
+         "global flags: --threads N, --no-obs, --metrics PATH,\n"
+         "              --trace-out PATH\n"
          "exit codes: 0 ok, 1 analysis/data error, 2 usage, 3 I/O failure\n";
   return 2;
 }
@@ -241,15 +239,22 @@ void write_text_file(const std::string& path, const std::string& text) {
   require(out.good(), "failed writing " + path);
 }
 
-// Loads a CSV directory or a columnar file and runs the analysis pipeline
-// over it, sharing both artifacts through the process-wide cache (so a
-// future multi-command mode pays for each trace once).
-analysis::AnalysisContext loaded_context(const std::string& dir) {
-  auto db = std::make_shared<const trace::TraceDatabase>(
-      trace::is_columnar_file(dir) ? trace::load_columnar(dir)
-                                   : trace::load_database(dir));
-  auto pipeline = analysis::ArtifactCache::global().pipeline(db);
-  return {std::move(db), std::move(pipeline)};
+// A trace and the analysis pipeline over it. The pipeline points into the
+// database, so it is declared after it and destroyed first.
+struct AnalyzedTrace {
+  std::shared_ptr<const trace::TraceDatabase> db;
+  std::shared_ptr<const analysis::AnalysisPipeline> pipeline;
+};
+
+AnalyzedTrace analyzed(trace::TraceDatabase db) {
+  auto shared = std::make_shared<const trace::TraceDatabase>(std::move(db));
+  auto pipeline = std::make_shared<const analysis::AnalysisPipeline>(*shared);
+  return {std::move(shared), std::move(pipeline)};
+}
+
+trace::TraceDatabase load_trace(const std::string& path) {
+  return trace::is_columnar_file(path) ? trace::load_columnar(path)
+                                       : trace::load_database(path);
 }
 
 int cmd_simulate(const std::vector<std::string>& args) {
@@ -311,8 +316,7 @@ int cmd_simulate(const std::vector<std::string>& args) {
     return 0;
   }
 
-  const auto db_ptr = analysis::ArtifactCache::global().database(config);
-  const trace::TraceDatabase& db = *db_ptr;
+  const trace::TraceDatabase db = sim::simulate(config);
   const auto validation = sim::validate_trace(db, config);
   trace::save_database(db, out);
   std::cout << "wrote " << db.servers().size() << " servers, "
@@ -322,26 +326,24 @@ int cmd_simulate(const std::vector<std::string>& args) {
 }
 
 int cmd_report(const std::string& dir, bool lenient, double scale) {
-  analysis::AnalysisContext ctx;
+  AnalyzedTrace ctx;
   if (dir.empty()) {
-    // No trace directory: report on the default simulation (via the cache,
-    // so `profile report` exercises the full simulate + analyze path).
-    const auto config = sim::SimulationConfig::paper_defaults().scaled(scale);
-    ctx = analysis::cached_context(config);
+    // No trace directory: report on the default simulation (so `profile
+    // report` exercises the full simulate + analyze path).
+    ctx = analyzed(
+        sim::simulate(sim::SimulationConfig::paper_defaults().scaled(scale)));
   } else if (lenient && trace::is_columnar_file(dir)) {
     // Storage-level leniency: skip checksum-failing chunks, report what was
     // lost and analyze the surviving rows (clearly marked as partial).
     trace::DegradedReadReport degraded;
-    auto db = std::make_shared<const trace::TraceDatabase>(
-        trace::load_columnar_lenient(dir, degraded));
+    trace::TraceDatabase db = trace::load_columnar_lenient(dir, degraded);
     std::cout << degraded.to_string();
     if (degraded.degraded()) {
       std::cout << "warning: analysis below covers PARTIAL DATA; recover "
                    "the file with `fa_trace recover`\n";
     }
     std::cout << "\n";
-    auto pipeline = analysis::ArtifactCache::global().pipeline(db);
-    ctx = {std::move(db), std::move(pipeline)};
+    ctx = analyzed(std::move(db));
   } else if (lenient) {
     auto result = analysis::analyze_lenient(dir);
     std::cout << result.report.to_string();
@@ -352,7 +354,7 @@ int cmd_report(const std::string& dir, bool lenient, double scale) {
     std::cout << "\n";
     ctx = {std::move(result.db), std::move(result.pipeline)};
   } else {
-    ctx = loaded_context(dir);
+    ctx = analyzed(load_trace(dir));
   }
   const trace::TraceDatabase& db = *ctx.db;
   const analysis::AnalysisPipeline& pipeline = *ctx.pipeline;
@@ -706,11 +708,9 @@ int cmd_watch(const std::vector<std::string>& args) {
   if (dir.empty()) {
     auto config = sim::SimulationConfig::paper_defaults().scaled(scale);
     if (have_seed) config.seed = seed;
-    db = analysis::ArtifactCache::global().database(config);
+    db = std::make_shared<const trace::TraceDatabase>(sim::simulate(config));
   } else {
-    db = std::make_shared<const trace::TraceDatabase>(
-        trace::is_columnar_file(dir) ? trace::load_columnar(dir)
-                                     : trace::load_database(dir));
+    db = std::make_shared<const trace::TraceDatabase>(load_trace(dir));
   }
 
   const sim::StreamScenario scenario = build_scenario(flags, db->window());
@@ -995,7 +995,7 @@ int cmd_top(const std::string& path) {
 }
 
 int cmd_classify(const std::string& dir) {
-  const auto ctx = loaded_context(dir);
+  const auto ctx = analyzed(load_trace(dir));
   const analysis::AnalysisPipeline& pipeline = *ctx.pipeline;
   const auto& result = pipeline.classification();
 
@@ -1017,7 +1017,7 @@ int cmd_classify(const std::string& dir) {
 
 int cmd_fit(const std::string& dir, const std::string& metric,
             const std::string& type_name) {
-  const auto ctx = loaded_context(dir);
+  const auto ctx = analyzed(load_trace(dir));
   const trace::TraceDatabase& db = *ctx.db;
   const analysis::AnalysisPipeline& pipeline = *ctx.pipeline;
   const auto type = trace::machine_type_from_string(
@@ -1051,7 +1051,7 @@ int cmd_fit(const std::string& dir, const std::string& metric,
 }
 
 int cmd_transitions(const std::string& dir) {
-  const auto ctx = loaded_context(dir);
+  const auto ctx = analyzed(load_trace(dir));
   const trace::TraceDatabase& db = *ctx.db;
   const analysis::AnalysisPipeline& pipeline = *ctx.pipeline;
   const auto result = analysis::analyze_transitions(
@@ -1239,8 +1239,7 @@ int run_command(const std::vector<std::string>& args) {
 }
 
 // Amdahl sweep behind `fa_trace profile`: re-runs the profiled command at
-// 1, 2, 4 and 8 worker threads (cold artifact cache, fresh registry, stdout
-// suppressed), then least-squares-fits the serial fraction of every stage
+// 1, 2, 4 and 8 worker threads (fresh registry, stdout suppressed), then least-squares-fits the serial fraction of every stage
 // span recorded in all four runs (stats::amdahl_serial_fraction). A
 // fraction near 1 means the stage does not scale with threads.
 void print_amdahl_sweep(const std::vector<std::string>& args) {
@@ -1249,7 +1248,6 @@ void print_amdahl_sweep(const std::vector<std::string>& args) {
   std::map<std::string, std::size_t> seen;
   const std::size_t previous = fa::ThreadPool::default_thread_count();
   for (std::size_t ti = 0; ti < kThreads.size(); ++ti) {
-    fa::analysis::ArtifactCache::global().clear();
     fa::obs::MetricsRegistry::global().reset();
     fa::ThreadPool::set_default_thread_count(
         static_cast<std::size_t>(kThreads[ti]));
@@ -1306,20 +1304,18 @@ int main(int argc, char** argv) {
   std::string metrics_path, trace_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--no-cache") {
-      fa::analysis::ArtifactCache::global().set_enabled(false);
-    } else if (arg == "--no-obs") {
+    if (arg == "--no-obs") {
       fa::obs::set_enabled(false);
     } else if (arg == "--threads" && i + 1 < argc) {
       const std::string value = argv[++i];
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0') {
+      const auto threads = fa::ThreadPool::parse_thread_count(value);
+      if (!threads) {
         std::cerr << "invalid --threads value '" << value
-                  << "' (expected a non-negative integer)\n";
+                  << "' (expected an integer from 0 to "
+                  << fa::ThreadPool::kMaxThreads << ")\n";
         return 2;
       }
-      fa::ThreadPool::set_default_thread_count(static_cast<std::size_t>(n));
+      fa::ThreadPool::set_default_thread_count(*threads);
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (arg.rfind("--metrics=", 0) == 0) {
