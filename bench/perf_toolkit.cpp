@@ -10,8 +10,9 @@
 // BENCH_perf.json (machine-readable; path override:
 // --json PATH; fleet size: --scale F, default 0.3). --stream S instead
 // runs the out-of-core path end to end — streaming simulate -> columnar
-// file -> chunk-at-a-time summary at scale S (which may exceed 1) — and
-// reports peak RSS alongside the timings (default JSON: BENCH_stream.json).
+// file -> chunk-at-a-time summary -> full load_columnar at scale S (which
+// may exceed 1) — and reports peak RSS alongside the timings (default
+// JSON: BENCH_stream.json).
 // --metrics PATH / --trace-out PATH write the observability registry's
 // JSON snapshot and Chrome trace after the stage report; --no-obs turns
 // recording off. The google-benchmark microbenchmarks of the underlying
@@ -528,11 +529,14 @@ long peak_rss_kb() {
 }
 
 // The out-of-core path end to end: stream the simulator into a columnar
-// file (no database is ever materialized), then summarize it
-// chunk-at-a-time. Peak RSS stays bounded by chunk size, so `scale` may
-// exceed the paper fleet by an order of magnitude.
+// file (no database is materialized), then summarize it chunk-at-a-time;
+// peak RSS through those two phases stays bounded by chunk size, so `scale`
+// may exceed the paper fleet by an order of magnitude. Last, the read half
+// of the round trip: load_columnar materializes the whole database, so its
+// peak RSS grows with the fleet.
 int run_stream_report(double scale, const std::string& json_path) {
   namespace fs = std::filesystem;
+  const std::size_t hw = ThreadPool::hardware_threads();
   const auto config = sim::SimulationConfig::paper_defaults().scaled(scale);
   const fs::path fac_path = "bench_stream.fac";
   const long rss_start_kb = peak_rss_kb();
@@ -550,10 +554,16 @@ int run_stream_report(double scale, const std::string& json_path) {
   const auto summary = analysis::summarize_columnar(fac_path.string());
   const double analyze_ms = ms_since(t0);
   const long rss_analyze_kb = peak_rss_kb();
+
+  t0 = Clock::now();
+  const trace::TraceDatabase db = trace::load_columnar(fac_path.string());
+  const double load_ms = ms_since(t0);
+  const long rss_load_kb = peak_rss_kb();
   fs::remove(fac_path);
 
   const bool counts_match =
-      summary.servers == servers && summary.tickets == tickets;
+      summary.servers == servers && summary.tickets == tickets &&
+      db.servers().size() == servers && db.tickets().size() == tickets;
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -561,6 +571,7 @@ int run_stream_report(double scale, const std::string& json_path) {
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"scale\": %.2f,\n", scale);
+  std::fprintf(out, "  \"hardware_concurrency\": %zu,\n", hw);
   std::fprintf(out, "  \"servers\": %llu,\n",
                static_cast<unsigned long long>(servers));
   std::fprintf(out, "  \"tickets\": %llu,\n",
@@ -571,9 +582,11 @@ int run_stream_report(double scale, const std::string& json_path) {
                static_cast<unsigned long long>(file_bytes));
   std::fprintf(out, "  \"generate_ms\": %.3f,\n", generate_ms);
   std::fprintf(out, "  \"analyze_ms\": %.3f,\n", analyze_ms);
+  std::fprintf(out, "  \"load_ms\": %.3f,\n", load_ms);
   std::fprintf(out, "  \"rss_start_kb\": %ld,\n", rss_start_kb);
   std::fprintf(out, "  \"rss_after_generate_kb\": %ld,\n", rss_generate_kb);
   std::fprintf(out, "  \"rss_after_analyze_kb\": %ld,\n", rss_analyze_kb);
+  std::fprintf(out, "  \"rss_after_load_kb\": %ld,\n", rss_load_kb);
   std::fprintf(out, "  \"counts_match\": %s\n",
                counts_match ? "true" : "false");
   std::fprintf(out, "}\n");
@@ -583,11 +596,13 @@ int run_stream_report(double scale, const std::string& json_path) {
               scale, static_cast<unsigned long long>(servers),
               static_cast<unsigned long long>(tickets),
               static_cast<unsigned long long>(file_bytes));
-  std::printf("  generate %.1f ms, analyze %.1f ms\n", generate_ms,
-              analyze_ms);
-  std::printf("  peak RSS: start %ld KB, generate %ld KB, analyze %ld KB\n",
-              rss_start_kb, rss_generate_kb, rss_analyze_kb);
-  std::printf("  summary counts match writer tallies: %s\n",
+  std::printf("  generate %.1f ms, analyze %.1f ms, load %.1f ms\n",
+              generate_ms, analyze_ms, load_ms);
+  std::printf(
+      "  peak RSS: start %ld KB, generate %ld KB, analyze %ld KB, "
+      "load %ld KB\n",
+      rss_start_kb, rss_generate_kb, rss_analyze_kb, rss_load_kb);
+  std::printf("  summary and load counts match writer tallies: %s\n",
               counts_match ? "yes" : "NO");
   std::printf("wrote %s\n", json_path.c_str());
   return counts_match ? 0 : 1;

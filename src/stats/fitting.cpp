@@ -12,10 +12,15 @@
 namespace fa::stats {
 namespace {
 
+// Runs once per sample, so the message is built only when a check fails.
 void check_positive(std::span<const double> xs, const char* who) {
-  require(xs.size() >= 2, std::string(who) + ": need at least two samples");
+  if (xs.size() < 2) {
+    throw Error(std::string(who) + ": need at least two samples");
+  }
   for (double x : xs) {
-    require(x > 0.0, std::string(who) + ": samples must be positive");
+    if (!(x > 0.0)) {
+      throw Error(std::string(who) + ": samples must be positive");
+    }
   }
 }
 

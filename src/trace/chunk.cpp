@@ -1,5 +1,8 @@
 #include "src/trace/chunk.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "src/util/error.h"
 #include "src/util/strings.h"
 
@@ -20,6 +23,14 @@ void append_bytes(std::vector<std::byte>& out, const void* data,
 
 void pad_to(std::vector<std::byte>& out, std::size_t align) {
   out.resize(padded(out.size(), align), std::byte{0});
+}
+
+// Dictionary table size on a chunk's first lookup: up to 1,024 distinct
+// values before the first grow().
+constexpr std::size_t kDictTableMin = 2048;
+
+[[noreturn]] void fail_dict_overflow() {
+  throw Error("columnar: dictionary blob exceeds 4 GiB");
 }
 
 bool int_like(Encoding e) {
@@ -178,14 +189,49 @@ ChunkBuilder::Column& ChunkBuilder::batch_column(std::size_t index) {
   return c;
 }
 
-std::uint32_t ChunkBuilder::dict_slot(Column& c, std::string_view v) {
-  if (const auto it = c.dict_lookup.find(v); it != c.dict_lookup.end()) {
-    return it->second;
+// ---- ChunkBuilder::StringDict ----
+
+std::uint32_t ChunkBuilder::StringDict::slot(std::string_view v) {
+  if (table_.empty()) table_.assign(kDictTableMin, Entry{0, kNoSlot});
+  // The low bits pick the home entry; all 32 bits tag it.
+  const auto hash =
+      static_cast<std::uint32_t>(std::hash<std::string_view>{}(v));
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    Entry& e = table_[i];
+    if (e.slot == kNoSlot) {
+      if (v.size() > UINT32_MAX - bytes_.size()) fail_dict_overflow();
+      const std::uint32_t slot = size();
+      e = {hash, slot};
+      bytes_.append(v);
+      offsets_.push_back(static_cast<std::uint32_t>(bytes_.size()));
+      if (2 * std::size_t{size()} > table_.size()) grow();
+      return slot;
+    }
+    if (e.hash == hash &&
+        std::string_view(bytes_.data() + offsets_[e.slot],
+                         offsets_[e.slot + 1] - offsets_[e.slot]) == v) {
+      return e.slot;
+    }
   }
-  const auto slot = static_cast<std::uint32_t>(c.dict.size());
-  c.dict.emplace_back(v);
-  c.dict_lookup.emplace(c.dict.back(), slot);
-  return slot;
+}
+
+void ChunkBuilder::StringDict::grow() {
+  std::vector<Entry> bigger(table_.size() * 2, Entry{0, kNoSlot});
+  const std::size_t mask = bigger.size() - 1;
+  for (const Entry& e : table_) {
+    if (e.slot == kNoSlot) continue;
+    std::size_t i = e.hash & mask;
+    while (bigger[i].slot != kNoSlot) i = (i + 1) & mask;
+    bigger[i] = e;
+  }
+  table_.swap(bigger);
+}
+
+void ChunkBuilder::StringDict::clear() {
+  bytes_.clear();
+  offsets_.resize(1);
+  std::fill(table_.begin(), table_.end(), Entry{0, kNoSlot});
 }
 
 void ChunkBuilder::add_int(std::size_t column, std::int64_t v) {
@@ -224,7 +270,7 @@ void ChunkBuilder::add_opt_int(std::size_t column,
 
 void ChunkBuilder::add_string(std::size_t column, std::string_view v) {
   Column& c = column_for(column, Encoding::kStringDict);
-  c.indices.push_back(dict_slot(c, v));
+  c.indices.push_back(c.dict.slot(v));
 }
 
 void ChunkBuilder::next_row() {
@@ -313,24 +359,12 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
         break;
       }
       case Encoding::kStringDict: {
-        const auto dict_count = static_cast<std::uint32_t>(c.dict.size());
+        const std::uint32_t dict_count = c.dict.size();
         block.extra = dict_count;
         append_bytes(out, &dict_count, sizeof(dict_count));
-        std::vector<std::uint32_t> offsets;
-        offsets.reserve(c.dict.size() + 1);
-        std::uint32_t pos = 0;
-        offsets.push_back(0);
-        for (const std::string& s : c.dict) {
-          require(s.size() <= UINT32_MAX - pos,
-                  "columnar: dictionary blob exceeds 4 GiB");
-          pos += static_cast<std::uint32_t>(s.size());
-          offsets.push_back(pos);
-        }
-        append_bytes(out, offsets.data(),
-                     offsets.size() * sizeof(std::uint32_t));
-        for (const std::string& s : c.dict) {
-          append_bytes(out, s.data(), s.size());
-        }
+        append_bytes(out, c.dict.offsets().data(),
+                     c.dict.offsets().size_bytes());
+        append_bytes(out, c.dict.bytes().data(), c.dict.bytes().size());
         pad_to(out, 4);
         append_bytes(out, c.indices.data(),
                      c.indices.size() * sizeof(std::uint32_t));
@@ -349,7 +383,6 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
     c.present.clear();
     c.indices.clear();
     c.dict.clear();
-    c.dict_lookup.clear();
     c.size = 0;
   }
 
@@ -451,8 +484,8 @@ ChunkView::ChunkView(Table table, const ChunkInfo& info, const std::byte* base,
 
     const std::size_t bitmap_bytes = padded((rows_ + 7) / 8);
     auto expect_size = [&](std::size_t want) {
-      require(block.size == want,
-              "columnar: column " + std::string(schema[ci].name) + " of " +
+      if (block.size == want) return;
+      throw Error("columnar: column " + std::string(schema[ci].name) + " of " +
                   std::string(table_name(table)) + " has size " +
                   std::to_string(block.size) + " bytes, expected " +
                   std::to_string(want));

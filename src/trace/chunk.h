@@ -26,7 +26,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/trace/types.h"
@@ -169,7 +168,7 @@ class ChunkBuilder {
             "columnar: fill_strings on a non-dictionary column");
     c.indices.reserve(c.indices.size() + n);
     for (std::size_t i = 0; i < n; ++i) {
-      c.indices.push_back(dict_slot(c, get(i)));
+      c.indices.push_back(c.dict.slot(get(i)));
     }
     c.size += n;
   }
@@ -183,13 +182,34 @@ class ChunkBuilder {
   ChunkInfo encode(std::vector<std::byte>& out);
 
  private:
-  // Heterogeneous hashing so dictionary probes take a string_view and only
-  // materialize a std::string for strings entering the dictionary.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view v) const noexcept {
-      return std::hash<std::string_view>{}(v);
+  // One chunk's dictionary of a kStringDict column, held the way the block
+  // stores it: the distinct values back to back in one byte arena, and
+  // their u32 offsets (slot s is bytes [offsets[s], offsets[s+1])). Slots
+  // are numbered by first occurrence. Lookups go through an open-addressing
+  // table of slot ids tagged with the value's hash, so a probe compares
+  // arena bytes only on a hash match and a new value costs one arena
+  // append, no per-value allocation.
+  class StringDict {
+   public:
+    std::uint32_t slot(std::string_view v);  // inserts v when it is new
+    std::uint32_t size() const {
+      return static_cast<std::uint32_t>(offsets_.size() - 1);
     }
+    std::span<const std::uint32_t> offsets() const { return offsets_; }
+    std::string_view bytes() const { return bytes_; }
+    void clear();  // keeps the arena's and the table's capacity
+
+   private:
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+    struct Entry {
+      std::uint32_t hash;
+      std::uint32_t slot;  // kNoSlot marks an empty entry
+    };
+    void grow();
+
+    std::string bytes_;
+    std::vector<std::uint32_t> offsets_{0};
+    std::vector<Entry> table_;  // power-of-two size, at most half full
   };
 
   struct Column {
@@ -198,15 +218,12 @@ class ChunkBuilder {
     std::vector<double> doubles;         // kFloat64 / kOptFloat64
     std::vector<std::uint8_t> present;   // optional columns, 1 per row
     std::vector<std::uint32_t> indices;  // kStringDict row -> dict slot
-    std::vector<std::string> dict;       // kStringDict slot -> string
-    std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
-        dict_lookup;
+    StringDict dict;                     // kStringDict
     std::size_t size = 0;                // rows appended so far
   };
 
   Column& column_for(std::size_t index, Encoding expected);
   Column& batch_column(std::size_t index);
-  static std::uint32_t dict_slot(Column& c, std::string_view v);
   [[noreturn]] void fail_encoding(std::size_t index, Encoding expected) const;
   [[noreturn]] void fail_row_incomplete() const;
 

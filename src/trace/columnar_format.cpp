@@ -32,7 +32,10 @@ struct PayloadParser {
 
   template <typename T>
   T get() {
-    require(p + sizeof(T) <= end, "columnar: " + path + " footer truncated");
+    // One call per footer field: build the message only on failure.
+    if (p + sizeof(T) > end) {
+      throw Error("columnar: " + path + " footer truncated");
+    }
     T v;
     std::memcpy(&v, p, sizeof(T));
     p += sizeof(T);

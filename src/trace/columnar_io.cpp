@@ -51,6 +51,13 @@ obs::Counter& chunks_skipped_counter() {
   return c;
 }
 
+// Per-row decode checks (decode_server, decode_ticket) call this only when
+// a value is out of range, so the happy path builds no message.
+[[noreturn]] void fail_value(const char* what, std::int64_t value) {
+  throw Error(std::string("columnar: invalid ") + what + " " +
+              std::to_string(value));
+}
+
 FileReport build_report(
     const std::array<std::vector<ChunkInfo>, kTableCount>& directory,
     const std::array<std::uint64_t, kTableCount>& row_counts,
@@ -660,12 +667,10 @@ ServerRecord decode_server(const ChunkView& view, std::uint32_t row,
   ServerRecord r;
   r.id = ServerId{static_cast<std::int32_t>(first_row_id + row)};
   const std::int64_t type = view.column(kServerType).int_at(row);
-  require(type >= 0 && type < kMachineTypeCount,
-          "columnar: invalid machine type " + std::to_string(type));
+  if (type < 0 || type >= kMachineTypeCount) fail_value("machine type", type);
   r.type = static_cast<MachineType>(type);
   const std::int64_t sys = view.column(kServerSubsystem).int_at(row);
-  require(sys >= 0 && sys < kSubsystemCount,
-          "columnar: invalid subsystem " + std::to_string(sys));
+  if (sys < 0 || sys >= kSubsystemCount) fail_value("subsystem", sys);
   r.subsystem = static_cast<Subsystem>(sys);
   r.cpu_count = static_cast<int>(view.column(kServerCpuCount).int_at(row));
   r.memory_gb = view.column(kServerMemoryGb).double_at(row);
@@ -692,16 +697,13 @@ Ticket decode_ticket(const ChunkView& view, std::uint32_t row,
   t.server = ServerId{
       static_cast<std::int32_t>(view.column(kTicketServer).int_at(row))};
   const std::int64_t sys = view.column(kTicketSubsystem).int_at(row);
-  require(sys >= 0 && sys < kSubsystemCount,
-          "columnar: invalid subsystem " + std::to_string(sys));
+  if (sys < 0 || sys >= kSubsystemCount) fail_value("subsystem", sys);
   t.subsystem = static_cast<Subsystem>(sys);
   const std::int64_t crash = view.column(kTicketIsCrash).int_at(row);
-  require(crash == 0 || crash == 1,
-          "columnar: invalid is_crash " + std::to_string(crash));
+  if (crash != 0 && crash != 1) fail_value("is_crash", crash);
   t.is_crash = crash != 0;
   const std::int64_t cls = view.column(kTicketTrueClass).int_at(row);
-  require(cls >= 0 && cls < kFailureClassCount,
-          "columnar: invalid failure class " + std::to_string(cls));
+  if (cls < 0 || cls >= kFailureClassCount) fail_value("failure class", cls);
   t.true_class = static_cast<FailureClass>(cls);
   t.opened = view.column(kTicketOpened).int_at(row);
   t.closed = view.column(kTicketClosed).int_at(row);

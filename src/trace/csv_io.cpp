@@ -49,6 +49,12 @@ std::ifstream open_in(const std::string& path) {
   return in;
 }
 
+// Runs once per CSV row, so the message is built only when the check fails.
+void check_field_count(const std::vector<std::string>& row,
+                       std::size_t fields, const std::string& path) {
+  if (row.size() != fields) throw Error("load_database: bad row in " + path);
+}
+
 }  // namespace
 
 const std::vector<std::string>& meta_header() {
@@ -227,7 +233,7 @@ TraceDatabase load_database(const std::string& directory) {
     ObservationWindow monitoring = db.monitoring();
     ObservationWindow onoff = db.onoff_tracking();
     while (r.read_row(row)) {
-      require(row.size() == 3, "load_database: bad row in " + path);
+      check_field_count(row, 3, path);
       const ObservationWindow window{parse_int(row[1]), parse_int(row[2])};
       if (row[0] == "ticket") {
         ticket = window;
@@ -249,7 +255,7 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, servers_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 9, "load_database: bad row in " + path);
+      check_field_count(row, 9, path);
       ServerRecord s;
       s.type = machine_type_from_string(row[1]);
       s.subsystem = static_cast<Subsystem>(parse_int(row[2]));
@@ -262,8 +268,9 @@ TraceDatabase load_database(const std::string& directory) {
       }
       s.first_record = parse_int(row[8]);
       const ServerId assigned = db.add_server(s);
-      require(assigned.value == static_cast<std::int32_t>(parse_int(row[0])),
-              "load_database: non-contiguous server ids in " + path);
+      if (assigned.value != static_cast<std::int32_t>(parse_int(row[0]))) {
+        throw Error("load_database: non-contiguous server ids in " + path);
+      }
     }
   }
   {
@@ -272,7 +279,7 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, tickets_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 10, "load_database: bad row in " + path);
+      check_field_count(row, 10, path);
       Ticket t;
       if (!row[1].empty()) {
         t.incident = IncidentId{static_cast<std::int32_t>(parse_int(row[1]))};
@@ -289,8 +296,9 @@ TraceDatabase load_database(const std::string& directory) {
       t.description = row[8];
       t.resolution = row[9];
       const TicketId assigned = db.add_ticket(std::move(t));
-      require(assigned.value == static_cast<std::int32_t>(parse_int(row[0])),
-              "load_database: non-contiguous ticket ids in " + path);
+      if (assigned.value != static_cast<std::int32_t>(parse_int(row[0]))) {
+        throw Error("load_database: non-contiguous ticket ids in " + path);
+      }
     }
   }
   {
@@ -299,7 +307,7 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, weekly_usage_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 6, "load_database: bad row in " + path);
+      check_field_count(row, 6, path);
       WeeklyUsage u;
       u.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
       u.week = static_cast<int>(parse_int(row[1]));
@@ -316,7 +324,7 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, power_events_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 3, "load_database: bad row in " + path);
+      check_field_count(row, 3, path);
       PowerEvent e;
       e.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
       e.at = parse_int(row[1]);
@@ -330,7 +338,7 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, snapshots_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 4, "load_database: bad row in " + path);
+      check_field_count(row, 4, path);
       MonthlySnapshot s;
       s.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
       s.month = static_cast<int>(parse_int(row[1]));

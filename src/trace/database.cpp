@@ -2,33 +2,61 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <string>
 
 #include "src/util/error.h"
 
 namespace fa::trace {
 namespace {
 
-template <typename Row, typename Key>
-std::unordered_map<ServerId, std::pair<std::size_t, std::size_t>> build_ranges(
-    std::vector<Row>& rows, Key key) {
+// finalize() checks every monitoring row, so its checks must not build a
+// message unless they fail.
+[[noreturn]] void fail_dangling(const char* table) {
+  throw Error(std::string("TraceDatabase::finalize: dangling server id in ") +
+              table);
+}
+
+bool names_server(ServerId id, std::size_t n_servers) {
+  return id.valid() && static_cast<std::size_t>(id.value) < n_servers;
+}
+
+// One pass over a monitoring table: checks each row's server id, then
+// `check(row)`; counts each server's rows into dense offsets (see the index
+// members of TraceDatabase); and notes whether the rows already follow
+// (server, key) order. Loaders and the simulator emit them in that order,
+// so the sort runs only when they do not.
+template <typename Row, typename Key, typename Check>
+std::vector<std::size_t> index_by_server(std::vector<Row>& rows,
+                                         std::size_t n_servers,
+                                         const char* table, Key key,
+                                         Check check) {
   const auto less = [&](const Row& a, const Row& b) {
     if (a.server != b.server) return a.server < b.server;
     return key(a) < key(b);
   };
-  // Loaders and the simulator emit rows grouped by server already; skip the
-  // sort when the order holds.
-  if (!std::is_sorted(rows.begin(), rows.end(), less)) {
-    std::sort(rows.begin(), rows.end(), less);
+  std::vector<std::size_t> offsets(n_servers + 1, 0);
+  bool ordered = true;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (!names_server(rows[i].server, n_servers)) fail_dangling(table);
+    check(rows[i]);
+    ++offsets[static_cast<std::size_t>(rows[i].server.value) + 1];
+    ordered = ordered && (i == 0 || !less(rows[i], rows[i - 1]));
   }
-  std::unordered_map<ServerId, std::pair<std::size_t, std::size_t>> ranges;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i <= rows.size(); ++i) {
-    if (i == rows.size() || (i > begin && rows[i].server != rows[begin].server)) {
-      if (i > begin) ranges[rows[begin].server] = {begin, i};
-      begin = i;
-    }
-  }
-  return ranges;
+  if (!ordered) std::sort(rows.begin(), rows.end(), less);
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  return offsets;
+}
+
+// Server `id`'s rows of a table indexed by dense offsets; empty for an id
+// that names no server.
+template <typename Row>
+std::span<const Row> rows_of(const std::vector<Row>& rows,
+                             const std::vector<std::size_t>& offsets,
+                             ServerId id) {
+  if (!names_server(id, offsets.size() - 1)) return {};
+  const auto s = static_cast<std::size_t>(id.value);
+  return {rows.data() + offsets[s], offsets[s + 1] - offsets[s]};
 }
 
 }  // namespace
@@ -102,42 +130,48 @@ IncidentId TraceDatabase::new_incident() {
 
 void TraceDatabase::finalize() {
   require(!finalized_, "TraceDatabase: finalize called twice");
-  const auto n_servers = static_cast<std::int32_t>(servers_.size());
-  const auto check_server = [&](ServerId id, const char* what) {
-    require(id.valid() && id.value < n_servers,
-            std::string("TraceDatabase::finalize: dangling server id in ") +
-                what);
-  };
-  for (const Ticket& t : tickets_) {
+  const std::size_t n_servers = servers_.size();
+
+  // Crash tickets are grouped by server with a counting sort, which keeps
+  // ticket order within each server.
+  crash_offsets_.assign(n_servers + 1, 0);
+  std::vector<std::size_t> crashes;
+  for (std::size_t i = 0; i < tickets_.size(); ++i) {
+    const Ticket& t = tickets_[i];
     if (t.is_crash) {
-      check_server(t.server, "ticket");
+      if (!names_server(t.server, n_servers)) fail_dangling("ticket");
       require(t.incident.valid(),
               "TraceDatabase::finalize: crash ticket without incident");
+      ++crash_offsets_[static_cast<std::size_t>(t.server.value) + 1];
+      crashes.push_back(i);
     }
     require(t.closed >= t.opened,
             "TraceDatabase::finalize: ticket closed before opened");
   }
-  for (const WeeklyUsage& u : weekly_usage_) check_server(u.server, "usage");
-  for (const PowerEvent& e : power_events_) check_server(e.server, "power");
-  for (const MonthlySnapshot& s : snapshots_) {
-    check_server(s.server, "snapshot");
-    require(s.consolidation >= 1,
-            "TraceDatabase::finalize: consolidation must be >= 1");
+  std::partial_sum(crash_offsets_.begin(), crash_offsets_.end(),
+                   crash_offsets_.begin());
+  std::vector<std::size_t> next(crash_offsets_.begin(),
+                                crash_offsets_.end() - 1);
+  crash_rows_.resize(crashes.size());
+  for (std::size_t i : crashes) {
+    crash_rows_[next[static_cast<std::size_t>(tickets_[i].server.value)]++] =
+        i;
   }
 
-  usage_ranges_ =
-      build_ranges(weekly_usage_, [](const WeeklyUsage& u) { return u.week; });
-  power_ranges_ =
-      build_ranges(power_events_, [](const PowerEvent& e) { return e.at; });
-  snapshot_ranges_ = build_ranges(
-      snapshots_, [](const MonthlySnapshot& s) { return s.month; });
-
-  crash_by_server_.clear();
-  for (std::size_t i = 0; i < tickets_.size(); ++i) {
-    if (tickets_[i].is_crash) {
-      crash_by_server_[tickets_[i].server].push_back(i);
-    }
-  }
+  const auto no_check = [](const auto&) {};
+  usage_offsets_ = index_by_server(
+      weekly_usage_, n_servers, "usage",
+      [](const WeeklyUsage& u) { return u.week; }, no_check);
+  power_offsets_ = index_by_server(
+      power_events_, n_servers, "power",
+      [](const PowerEvent& e) { return e.at; }, no_check);
+  snapshot_offsets_ = index_by_server(
+      snapshots_, n_servers, "snapshot",
+      [](const MonthlySnapshot& s) { return s.month; },
+      [](const MonthlySnapshot& s) {
+        require(s.consolidation >= 1,
+                "TraceDatabase::finalize: consolidation must be >= 1");
+      });
   finalized_ = true;
 }
 
@@ -169,11 +203,10 @@ std::vector<const Ticket*> TraceDatabase::crash_tickets() const {
 std::vector<const Ticket*> TraceDatabase::crash_tickets_for(
     ServerId id) const {
   require_finalized();
+  const auto rows = rows_of(crash_rows_, crash_offsets_, id);
   std::vector<const Ticket*> out;
-  const auto it = crash_by_server_.find(id);
-  if (it == crash_by_server_.end()) return out;
-  out.reserve(it->second.size());
-  for (std::size_t idx : it->second) out.push_back(&tickets_[idx]);
+  out.reserve(rows.size());
+  for (std::size_t idx : rows) out.push_back(&tickets_[idx]);
   return out;
 }
 
@@ -230,28 +263,19 @@ std::vector<std::vector<const Ticket*>> TraceDatabase::incidents() const {
 std::span<const WeeklyUsage> TraceDatabase::weekly_usage_for(
     ServerId id) const {
   require_finalized();
-  const auto it = usage_ranges_.find(id);
-  if (it == usage_ranges_.end()) return {};
-  return {weekly_usage_.data() + it->second.first,
-          it->second.second - it->second.first};
+  return rows_of(weekly_usage_, usage_offsets_, id);
 }
 
 std::span<const PowerEvent> TraceDatabase::power_events_for(
     ServerId id) const {
   require_finalized();
-  const auto it = power_ranges_.find(id);
-  if (it == power_ranges_.end()) return {};
-  return {power_events_.data() + it->second.first,
-          it->second.second - it->second.first};
+  return rows_of(power_events_, power_offsets_, id);
 }
 
 std::span<const MonthlySnapshot> TraceDatabase::snapshots_for(
     ServerId id) const {
   require_finalized();
-  const auto it = snapshot_ranges_.find(id);
-  if (it == snapshot_ranges_.end()) return {};
-  return {snapshots_.data() + it->second.first,
-          it->second.second - it->second.first};
+  return rows_of(snapshots_, snapshot_offsets_, id);
 }
 
 std::vector<bool> TraceDatabase::power_series_for(

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/trace/records.h"
@@ -109,15 +108,17 @@ class TraceDatabase {
   std::int32_t next_incident_ = 0;
   bool finalized_ = false;
 
-  // Index structures built by finalize(). The row vectors above are sorted
-  // by (server, time) so the spans below can reference contiguous ranges.
-  std::unordered_map<ServerId, std::pair<std::size_t, std::size_t>>
-      usage_ranges_;
-  std::unordered_map<ServerId, std::pair<std::size_t, std::size_t>>
-      power_ranges_;
-  std::unordered_map<ServerId, std::pair<std::size_t, std::size_t>>
-      snapshot_ranges_;
-  std::unordered_map<ServerId, std::vector<std::size_t>> crash_by_server_;
+  // Per-server indexes built by finalize(). Server ids are row positions of
+  // servers_, so each index is dense, one entry per server plus one: the
+  // rows of server s are [offsets[s], offsets[s+1]). The monitoring tables
+  // above are sorted by (server, time), so their offsets index them
+  // directly; crash_rows_ lists crash ticket positions grouped by server,
+  // in ticket order within a server.
+  std::vector<std::size_t> usage_offsets_;
+  std::vector<std::size_t> power_offsets_;
+  std::vector<std::size_t> snapshot_offsets_;
+  std::vector<std::size_t> crash_offsets_;
+  std::vector<std::size_t> crash_rows_;
 };
 
 }  // namespace fa::trace

@@ -16,6 +16,12 @@ bool needs_quoting(const std::string& field) {
   return field.find_first_of(",\"\n\r") != std::string::npos;
 }
 
+// The parsers run once per CSV field, so they build a message only when a
+// check fails: "<what> '<field>'".
+[[noreturn]] void fail_field(const char* what, const std::string& field) {
+  throw Error(std::string(what) + " '" + field + "'");
+}
+
 }  // namespace
 
 CsvWriter::CsvWriter(std::ostream& out, std::string path)
@@ -115,24 +121,27 @@ std::int64_t parse_int(const std::string& field) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(field.c_str(), &end, 10);
-  require(end != field.c_str() && *end == '\0',
-          "parse_int: invalid integer '" + field + "'");
-  require(errno != ERANGE, "parse_int: out-of-range integer '" + field + "'");
+  if (end == field.c_str() || *end != '\0') {
+    fail_field("parse_int: invalid integer", field);
+  }
+  if (errno == ERANGE) fail_field("parse_int: out-of-range integer", field);
   return v;
 }
 
 double parse_double(const std::string& field) {
   char* end = nullptr;
   const double v = std::strtod(field.c_str(), &end);
-  require(end != field.c_str() && *end == '\0',
-          "parse_double: invalid number '" + field + "'");
+  if (end == field.c_str() || *end != '\0') {
+    fail_field("parse_double: invalid number", field);
+  }
   return v;
 }
 
 double parse_finite_double(const std::string& field) {
   const double v = parse_double(field);
-  require(std::isfinite(v),
-          "parse_finite_double: non-finite number '" + field + "'");
+  if (!std::isfinite(v)) {
+    fail_field("parse_finite_double: non-finite number", field);
+  }
   return v;
 }
 

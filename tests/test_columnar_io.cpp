@@ -357,6 +357,74 @@ TEST_F(ColumnarIoTest, BatchTicketCommitIsByteIdenticalToPerTicket) {
   ThreadPool::set_default_thread_count(0);
 }
 
+// Tickets whose text exercises every dictionary path at 1,500-row chunks:
+// empty strings, values repeated within a chunk and across chunk
+// boundaries, more than 1,024 distinct values in one chunk (the lookup
+// table grows), bytes >= 0x80 and an embedded NUL.
+std::vector<Ticket> dictionary_edge_tickets() {
+  const std::string specials[] = {"", std::string("nul\0inside", 10),
+                                  "caf\xc3\xa9 \xff\x80", "disk failure"};
+  std::vector<Ticket> tickets(3100);
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    Ticket& t = tickets[i];
+    t.server = ServerId{static_cast<std::int32_t>(i % 3)};
+    t.subsystem = static_cast<Subsystem>(i % kSubsystemCount);
+    t.is_crash = i % 50 == 0;
+    if (t.is_crash) t.incident = IncidentId{static_cast<std::int32_t>(i / 50)};
+    t.true_class = kAllFailureClasses[i % kAllFailureClasses.size()];
+    t.opened = ticket_window().begin + static_cast<TimePoint>(i) * 60;
+    t.closed = t.opened + 30 + static_cast<Duration>(i % 7);
+    t.description = i % 100 == 0 ? specials[(i / 100) % 4]
+                                 : "event " + std::to_string(i % 1500);
+    t.resolution = specials[i % 4];
+  }
+  return tickets;
+}
+
+// Pins the encoder's output bytes: the other byte-identity tests compare
+// two write paths of the same build, which an encoder change shared by
+// both would pass. A change to the constants is a change to the file
+// format (docs/SCHEMA.md).
+TEST_F(ColumnarIoTest, DictionaryEdgeCasesEncodeToPinnedBytes) {
+  constexpr std::uint64_t kPinnedSize = 151259;
+  constexpr std::uint64_t kPinnedDigest = 0x55c6038218c0be5fULL;
+  const std::vector<Ticket> tickets = dictionary_edge_tickets();
+  const auto write = [&](const std::string& name, bool batch) {
+    ColumnarWriter writer(path(name), 1500);
+    for (int s = 0; s < 3; ++s) {
+      ServerRecord server;
+      server.subsystem = static_cast<Subsystem>(s);
+      writer.add_server(server);
+    }
+    writer.set_next_incident(62);
+    if (batch) {
+      writer.add_tickets(tickets);
+    } else {
+      for (const Ticket& t : tickets) writer.add_ticket(t);
+    }
+    writer.finish();
+    return read_file(dir_ / name);
+  };
+
+  for (const bool batch : {false, true}) {
+    const std::string name = batch ? "batch.fac" : "single.fac";
+    const std::string bytes = write(name, batch);
+    EXPECT_EQ(bytes.size(), kPinnedSize) << name;
+    EXPECT_EQ(columnar::fnv1a(reinterpret_cast<const std::byte*>(bytes.data()),
+                              bytes.size()),
+              kPinnedDigest)
+        << name;
+    const TraceDatabase db = load_columnar(path(name));
+    ASSERT_EQ(db.tickets().size(), tickets.size()) << name;
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      ASSERT_EQ(db.tickets()[i].description, tickets[i].description)
+          << name << " ticket " << i;
+      ASSERT_EQ(db.tickets()[i].resolution, tickets[i].resolution)
+          << name << " ticket " << i;
+    }
+  }
+}
+
 TEST_F(ColumnarIoTest, StreamedFileMatchesInMemorySimulation) {
   const auto config = sim::SimulationConfig::paper_defaults().scaled(0.05);
   {
