@@ -1,6 +1,6 @@
 // Performance toolkit. Default mode times the pipeline stages (simulate,
-// classify) serial vs parallel, breaks the classify stage into vectorize/kmeans sub-stages timed dense vs sparse
-// (with an assignments-identical cross-check), times trace save/load CSV
+// classify) serial vs parallel, breaks the classify stage into
+// vectorize/kmeans sub-stages, times trace save/load CSV
 // vs columnar (with a record-identity and out-of-core-equivalence check),
 // checks that the parallel trace is identical to the serial one, times the
 // vectorized stats kernels against their scalar references (`simd` block),
@@ -88,8 +88,7 @@ struct StageTiming {
 
 struct SubStageTiming {
   std::string name;
-  double dense_ms = 0.0;
-  double sparse_ms = 0.0;
+  double ms = 0.0;
 };
 
 // ---- simd block: dispatched kernels vs their scalar references ----
@@ -213,14 +212,11 @@ int run_stage_report(double scale, const std::string& json_path) {
   const double classify_parallel = ms_since(t0);
   stages.push_back({"classify", classify_serial, classify_parallel});
 
-  // classify sub-stages, dense vs sparse, on the crash-extraction shape:
-  // TF-IDF over every ticket description, then anchored 24-cluster k-means.
-  // The dense path is the reference implementation; the sparse path is what
-  // production classification runs, and its assignments must match.
+  // classify sub-stages on the crash-extraction shape: TF-IDF over every
+  // ticket description, then anchored 24-cluster k-means.
   ThreadPool::set_default_thread_count(0);
   std::vector<SubStageTiming> substages;
-  bool sparse_matches_dense = false;
-  stats::IterationStats sparse_stats;
+  stats::IterationStats kmeans_stats;
   {
     std::vector<std::string> corpus;
     corpus.reserve(parallel_db.tickets().size());
@@ -229,28 +225,17 @@ int run_stage_report(double scale, const std::string& json_path) {
     vec_options.min_document_frequency = 3;
     const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
     t0 = Clock::now();
-    const auto dense_features = vectorizer.transform_all(corpus);
-    const double vectorize_dense = ms_since(t0);
-    t0 = Clock::now();
-    const auto sparse_features = vectorizer.transform_all_sparse(corpus);
-    const double vectorize_sparse = ms_since(t0);
-    substages.push_back({"vectorize", vectorize_dense, vectorize_sparse});
+    const auto features = vectorizer.transform_all_sparse(corpus);
+    substages.push_back({"vectorize", ms_since(t0)});
 
     stats::KMeansOptions km;
     km.k = 24;
     km.restarts = 3;
-    km.anchors.push_back(dense_features.front());
-    Rng dense_rng(13);
+    km.anchors.push_back(features.row_dense(0));
+    Rng rng(13);
     t0 = Clock::now();
-    const auto dense_run = stats::kmeans(dense_features, km, dense_rng);
-    const double kmeans_dense = ms_since(t0);
-    Rng sparse_rng(13);
-    t0 = Clock::now();
-    const auto sparse_run = stats::kmeans(sparse_features, km, sparse_rng);
-    const double kmeans_sparse = ms_since(t0);
-    substages.push_back({"kmeans", kmeans_dense, kmeans_sparse});
-    sparse_matches_dense = dense_run.assignment == sparse_run.assignment;
-    sparse_stats = sparse_run.stats;
+    kmeans_stats = stats::kmeans(features, km, rng).stats;
+    substages.push_back({"kmeans", ms_since(t0)});
   }
 
   // Thread-scaling sweep: the two stages at 1/2/4/8 threads, with a
@@ -365,25 +350,20 @@ int run_stage_report(double scale, const std::string& json_path) {
   std::fprintf(out, "  \"classify_substages\": [\n");
   for (std::size_t i = 0; i < substages.size(); ++i) {
     const SubStageTiming& s = substages[i];
-    const double speedup = s.sparse_ms > 0.0 ? s.dense_ms / s.sparse_ms : 0.0;
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"dense_ms\": %.3f, "
-                 "\"sparse_ms\": %.3f, \"speedup\": %.3f}%s\n",
-                 s.name.c_str(), s.dense_ms, s.sparse_ms, speedup,
-                 i + 1 < substages.size() ? "," : "");
+    std::fprintf(out, "    {\"name\": \"%s\", \"ms\": %.3f}%s\n",
+                 s.name.c_str(), s.ms, i + 1 < substages.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"kmeans_prune\": {\n");
-  std::fprintf(out, "    \"distances_computed\": %llu,\n",
-               static_cast<unsigned long long>(sparse_stats.distances_computed));
+  std::fprintf(
+      out, "    \"distances_computed\": %llu,\n",
+      static_cast<unsigned long long>(kmeans_stats.distances_computed));
   std::fprintf(out, "    \"distances_pruned\": %llu,\n",
-               static_cast<unsigned long long>(sparse_stats.distances_pruned));
-  std::fprintf(out, "    \"prune_ratio\": %.4f,\n", sparse_stats.prune_ratio());
+               static_cast<unsigned long long>(kmeans_stats.distances_pruned));
+  std::fprintf(out, "    \"prune_ratio\": %.4f,\n", kmeans_stats.prune_ratio());
   std::fprintf(out, "    \"iterations\": %d\n",
-               sparse_stats.total_iterations());
+               kmeans_stats.total_iterations());
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sparse_matches_dense\": %s,\n",
-               sparse_matches_dense ? "true" : "false");
   std::fprintf(out, "  \"thread_scaling\": {\n");
   std::fprintf(out, "    \"threads\": [");
   for (std::size_t i = 0; i < kScalingThreads.size(); ++i) {
@@ -472,17 +452,13 @@ int run_stage_report(double scale, const std::string& json_path) {
   std::printf("classify: serial %.1f ms, parallel %.1f ms\n", classify_serial,
               classify_parallel);
   for (const SubStageTiming& s : substages) {
-    std::printf("  %-9s dense %.1f ms, sparse %.1f ms (%.1fx)\n",
-                s.name.c_str(), s.dense_ms, s.sparse_ms,
-                s.sparse_ms > 0.0 ? s.dense_ms / s.sparse_ms : 0.0);
+    std::printf("  %-9s %.1f ms\n", s.name.c_str(), s.ms);
   }
-  std::printf("  sparse assignments match dense: %s\n",
-              sparse_matches_dense ? "yes" : "NO");
   std::printf(
       "  kmeans prune ratio: %.1f%% (%llu of %llu distance evals skipped)\n",
-      100.0 * sparse_stats.prune_ratio(),
-      static_cast<unsigned long long>(sparse_stats.distances_pruned),
-      static_cast<unsigned long long>(sparse_stats.distances_attempted()));
+      100.0 * kmeans_stats.prune_ratio(),
+      static_cast<unsigned long long>(kmeans_stats.distances_pruned),
+      static_cast<unsigned long long>(kmeans_stats.distances_attempted()));
   for (const ScalingStage& s : scaling) {
     std::printf(
         "scaling:  %-9s 1/2/4/8 threads: %.1f / %.1f / %.1f / %.1f ms "
@@ -515,10 +491,8 @@ int run_stage_report(double scale, const std::string& json_path) {
       detect_result.score.precision(), detect_result.score.recall(),
       to_days(detect_result.score.median_latency()));
   std::printf("wrote %s\n", json_path.c_str());
-  return identical && sparse_matches_dense && io_identical &&
-                 out_of_core_matches && detect_ok
-             ? 0
-             : 1;
+  return identical && io_identical && out_of_core_matches && detect_ok ? 0
+                                                                       : 1;
 }
 
 // Peak resident set in kilobytes (Linux ru_maxrss unit).
@@ -664,7 +638,7 @@ void BM_KMeansTfIdf(benchmark::State& state) {
     if (t.is_crash) docs.push_back(t.description + " " + t.resolution);
   }
   const auto vectorizer = text::Vectorizer::fit(docs, {});
-  const auto features = vectorizer.transform_all(docs);
+  const auto features = vectorizer.transform_all_sparse(docs);
   stats::KMeansOptions options;
   options.k = 12;
   options.restarts = 2;

@@ -43,10 +43,9 @@ CrashExtractionResult extract_crash_tickets_clustered(
   text::VectorizerOptions vec_options;
   vec_options.min_document_frequency = 3;
   const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-  // Sparse path end to end: CSR features (no dense intermediate) and the
-  // bound-pruned sparse k-means overload. The dense path remains as the
-  // reference implementation; tests/test_sparse_features.cpp pins that both
-  // produce identical assignments, labels and accuracy.
+  // CSR features (no dense intermediate) and bound-pruned k-means;
+  // tests/test_sparse_features.cpp pins the clustering of this corpus to a
+  // brute-force Lloyd oracle.
   const auto features = vectorizer.transform_all_sparse(corpus);
 
   // Distinctive symptom vocabulary: words of the symptom phrases that are
@@ -172,7 +171,6 @@ ClassificationResult classify_tickets(
   vec_options.min_document_frequency = options.min_document_frequency;
   obs::Span vectorize_span("analysis.vectorize");
   const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-  // CSR features + sparse k-means (see extract_crash_tickets_clustered).
   const auto features = vectorizer.transform_all_sparse(corpus);
   vectorize_span.close();
   obs::counter("fa.analysis.vectorized_documents").add(corpus.size());

@@ -1,6 +1,5 @@
 // Exporters over MetricsSnapshot / SpanEvent data (pure functions — they
-// never touch the registry, so they work identically with the stubbed API,
-// which simply hands them empty inputs).
+// never touch the registry).
 //
 // Three formats:
 //   render_table      human-readable fixed-width table (bench/CLI output)

@@ -117,9 +117,6 @@ double BucketStats::quantile(double q) const {
   return bucket_quantile(bounds, buckets, count, min, max, q);
 }
 
-#ifndef FA_OBS_DISABLED
-inline namespace enabled_impl {
-
 namespace {
 
 // "name{labels}" map key; labels already canonical.
@@ -352,8 +349,5 @@ std::shared_ptr<SpanBuffer> MetricsRegistry::thread_buffer() {
   }
   return tls;
 }
-
-}  // inline namespace enabled_impl
-#endif  // FA_OBS_DISABLED
 
 }  // namespace fa::obs

@@ -15,10 +15,8 @@
 // Cost model: counter/gauge/histogram handles are stable references —
 // call sites resolve them once (function-local static or per-thread) and
 // the hot-path op is one relaxed atomic on top of one relaxed load of the
-// runtime toggle. With the runtime toggle off every op is a no-op; with
-// FA_OBS_DISABLED defined the whole API collapses to inline empty stubs
-// (distinct inline namespace, so mixed TUs never violate the ODR) and the
-// instrumentation compiles out entirely.
+// runtime toggle. With the toggle off (set_enabled(false), the --no-obs
+// flag) every op is a no-op.
 #pragma once
 
 #include <atomic>
@@ -33,8 +31,6 @@
 #include <vector>
 
 namespace fa::obs {
-
-// ---- plain data shared by both the full and the stub implementation ----
 
 // Label set of one metric family member, e.g. {{"kind", "database"}}.
 using Labels = std::vector<std::pair<std::string, std::string>>;
@@ -129,9 +125,9 @@ double bucket_quantile(const std::vector<double>& bounds,
 
 // Plain (non-atomic, non-registered) log-bucketed histogram for
 // single-threaded pipeline stages that need quantiles locally — e.g. the
-// detector's lag tracking, which must keep working with observability
-// compiled out. Mirror into a registered obs::Histogram via merge() for
-// the exported snapshot.
+// detector's lag tracking, which must keep working with recording turned
+// off. Mirror into a registered obs::Histogram via merge() for the exported
+// snapshot.
 struct BucketStats {
   std::vector<double> bounds;
   std::vector<std::uint64_t> buckets;  // bounds.size() + 1 (last = overflow)
@@ -147,12 +143,6 @@ struct BucketStats {
   double mean() const;
   double quantile(double q) const;
 };
-
-#ifndef FA_OBS_DISABLED
-
-inline namespace enabled_impl {
-
-inline constexpr bool kCompiledIn = true;
 
 // Runtime toggle: relaxed load on every op, so "off" costs one predictable
 // branch. Default on; bench/CLI surfaces expose --no-obs.
@@ -323,82 +313,5 @@ inline Histogram& histogram(std::string_view name, std::vector<double> bounds,
   return MetricsRegistry::global().histogram(name, std::move(bounds),
                                              std::move(labels), stability);
 }
-
-}  // inline namespace enabled_impl
-
-#else  // FA_OBS_DISABLED
-
-// Compile-out stubs: same API, empty bodies, distinct inline namespace so
-// a stubbed TU can link against fully-instrumented libraries.
-inline namespace noop_impl {
-
-inline constexpr bool kCompiledIn = false;
-
-inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) noexcept {}
-  double value() const noexcept { return 0.0; }
-};
-
-class Histogram {
- public:
-  void record(double) noexcept {}
-  void merge(const BucketStats&) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& global() {
-    static MetricsRegistry registry;
-    return registry;
-  }
-  Counter& counter(std::string_view, Labels = {},
-                   Stability = Stability::kDeterministic) {
-    static Counter c;
-    return c;
-  }
-  Gauge& gauge(std::string_view, Labels = {},
-               Stability = Stability::kDeterministic) {
-    static Gauge g;
-    return g;
-  }
-  Histogram& histogram(std::string_view, std::vector<double>, Labels = {},
-                       Stability = Stability::kTiming) {
-    static Histogram h;
-    return h;
-  }
-  MetricsSnapshot snapshot() const { return {}; }
-  std::vector<SpanEvent> span_events() const { return {}; }
-  void reset() {}
-};
-
-inline Counter& counter(std::string_view name, Labels labels = {},
-                        Stability stability = Stability::kDeterministic) {
-  return MetricsRegistry::global().counter(name, std::move(labels), stability);
-}
-inline Gauge& gauge(std::string_view name, Labels labels = {},
-                    Stability stability = Stability::kDeterministic) {
-  return MetricsRegistry::global().gauge(name, std::move(labels), stability);
-}
-inline Histogram& histogram(std::string_view name, std::vector<double> bounds,
-                            Labels labels = {},
-                            Stability stability = Stability::kTiming) {
-  return MetricsRegistry::global().histogram(name, std::move(bounds),
-                                             std::move(labels), stability);
-}
-
-}  // inline namespace noop_impl
-
-#endif  // FA_OBS_DISABLED
 
 }  // namespace fa::obs

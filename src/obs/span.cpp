@@ -1,8 +1,6 @@
 #include "src/obs/span.h"
 
 namespace fa::obs {
-#ifndef FA_OBS_DISABLED
-inline namespace enabled_impl {
 
 Span::Span(std::string name) : name_(std::move(name)) {
   if (!enabled()) return;
@@ -34,6 +32,4 @@ void Span::close() {
   buffer_.reset();  // marks the span closed
 }
 
-}  // inline namespace enabled_impl
-#endif  // FA_OBS_DISABLED
 }  // namespace fa::obs

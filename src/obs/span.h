@@ -9,8 +9,7 @@
 // destruction appends one SpanEvent to the thread-local buffer. Buffers
 // aggregate at flush time (MetricsRegistry::span_events / snapshot), so the
 // hot path never takes a cross-thread lock while the span is open. With the
-// runtime toggle off, construction is a no-op (no clock read, no record);
-// with FA_OBS_DISABLED the whole class is an empty stub.
+// runtime toggle off, construction is a no-op (no clock read, no record).
 #pragma once
 
 #include <chrono>
@@ -20,10 +19,6 @@
 #include "src/obs/metrics.h"
 
 namespace fa::obs {
-
-#ifndef FA_OBS_DISABLED
-
-inline namespace enabled_impl {
 
 class Span {
  public:
@@ -43,23 +38,5 @@ class Span {
   std::chrono::steady_clock::time_point start_;
   int depth_ = 0;
 };
-
-}  // inline namespace enabled_impl
-
-#else  // FA_OBS_DISABLED
-
-inline namespace noop_impl {
-
-class Span {
- public:
-  explicit Span(std::string) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void close() {}
-};
-
-}  // inline namespace noop_impl
-
-#endif  // FA_OBS_DISABLED
 
 }  // namespace fa::obs

@@ -12,133 +12,18 @@
 namespace fa::stats {
 namespace {
 
-double squared_distance(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  return simd::squared_distance(a, b);
-}
-
-std::vector<std::vector<double>> seed_plus_plus(
-    std::span<const std::vector<double>> points, const KMeansOptions& options,
-    Rng& rng) {
-  const int k = options.k;
-  std::vector<std::vector<double>> centroids;
-  centroids.reserve(static_cast<std::size_t>(k));
-  const auto n = static_cast<std::int64_t>(points.size());
-  std::vector<double> d2(points.size(),
-                         std::numeric_limits<double>::infinity());
-  if (options.anchors.empty()) {
-    centroids.push_back(
-        points[static_cast<std::size_t>(rng.uniform_int(0, n - 1))]);
-  } else {
-    // Anchors first; k-means++ continues conditioned on them.
-    for (const auto& anchor : options.anchors) {
-      if (static_cast<int>(centroids.size()) >= k) break;
-      centroids.push_back(anchor);
-    }
-    // Anchors filling all k centroids leave nothing for k-means++ to draw:
-    // the O(n * |anchors|) d2 pass below would be dead work.
-    if (static_cast<int>(centroids.size()) >= k) return centroids;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      for (const auto& c : centroids) {
-        d2[i] = std::min(d2[i], squared_distance(points[i], c));
-      }
-    }
-  }
-  while (static_cast<int>(centroids.size()) < k) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      d2[i] = std::min(d2[i], squared_distance(points[i], centroids.back()));
-    }
-    double total = 0.0;
-    for (double d : d2) total += d;
-    if (total <= 0.0) {
-      // All remaining points coincide with chosen centroids; duplicate one.
-      centroids.push_back(centroids.back());
-      continue;
-    }
-    double r = rng.uniform() * total;
-    std::size_t chosen = points.size() - 1;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      r -= d2[i];
-      if (r < 0.0) {
-        chosen = i;
-        break;
-      }
-    }
-    centroids.push_back(points[chosen]);
-  }
-  return centroids;
-}
-
-KMeansResult run_once(std::span<const std::vector<double>> points,
-                      const KMeansOptions& options, Rng& rng) {
-  const std::size_t dim = points.front().size();
-  KMeansResult result;
-  result.centroids = seed_plus_plus(points, options, rng);
-  result.assignment.assign(points.size(), -1);
-
-  double prev_inertia = std::numeric_limits<double>::infinity();
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    result.iterations = iter;
-    // Assignment step.
-    double inertia = 0.0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      int best_c = 0;
-      for (int c = 0; c < options.k; ++c) {
-        const double d =
-            squared_distance(points[i], result.centroids[static_cast<std::size_t>(c)]);
-        if (d < best) {
-          best = d;
-          best_c = c;
-        }
-      }
-      result.assignment[i] = best_c;
-      inertia += best;
-    }
-    result.stats.distances_computed +=
-        static_cast<std::uint64_t>(points.size()) *
-        static_cast<std::uint64_t>(options.k);
-    result.inertia = inertia;
-    // Update step.
-    std::vector<std::vector<double>> sums(
-        static_cast<std::size_t>(options.k), std::vector<double>(dim, 0.0));
-    std::vector<std::size_t> counts(static_cast<std::size_t>(options.k), 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto c = static_cast<std::size_t>(result.assignment[i]);
-      ++counts[c];
-      for (std::size_t d = 0; d < dim; ++d) sums[c][d] += points[i][d];
-    }
-    for (std::size_t c = 0; c < sums.size(); ++c) {
-      if (counts[c] == 0) {
-        // Re-seed an empty cluster at a random point.
-        result.centroids[c] = points[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(points.size()) - 1))];
-        continue;
-      }
-      for (std::size_t d = 0; d < dim; ++d) {
-        result.centroids[c][d] = sums[c][d] / static_cast<double>(counts[c]);
-      }
-    }
-    // iter 1 has no previous inertia to compare against (inf - x <= tol*inf
-    // holds, which would declare convergence after a single Lloyd step).
-    if (iter > 1 && prev_inertia - inertia <=
-                        options.tolerance * std::max(prev_inertia, 1e-300)) {
-      result.converged = true;
-      break;
-    }
-    prev_inertia = inertia;
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Sparse fast path. Distances use ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2
-// over each row's nonzeros; the assignment step keeps Hamerly-style bounds
-// and runs over chunks whose boundaries depend only on n, with a serial
-// in-order reduction, so results are bit-identical at any thread count.
+// Distances use ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 over each row's
+// nonzeros; the assignment step keeps Hamerly-style bounds and runs over
+// chunks whose boundaries depend only on n, with a serial in-order
+// reduction, so results are bit-identical at any thread count.
 
 double dense_dot(const std::vector<double>& a, const std::vector<double>& b) {
   return simd::dot(a, b);
+}
+
+double squared_distance(const std::vector<double>& a,
+                        const std::vector<double>& b) {
+  return simd::squared_distance(a, b);
 }
 
 double sparse_sq_dist(const SparseMatrix& points, std::size_t i,
@@ -182,13 +67,11 @@ std::vector<std::vector<double>> seed_plus_plus_sparse(
     centroids.push_back(
         points.row_dense(static_cast<std::size_t>(rng.uniform_int(0, n - 1))));
   } else {
-    // Anchors first; k-means++ continues conditioned on them. As in the
-    // dense path, anchors filling all k centroids skip the d2 pass.
-    for (const auto& anchor : options.anchors) {
-      if (static_cast<int>(centroids.size()) >= k) break;
-      centroids.push_back(anchor);
-    }
-    if (static_cast<int>(centroids.size()) >= k) return centroids;
+    // Anchors first; k-means++ continues conditioned on them. Anchors
+    // filling all k centroids leave nothing to draw, so the d2 pass is
+    // skipped.
+    centroids = options.anchors;
+    if (static_cast<int>(centroids.size()) == k) return centroids;
     for (const auto& c : centroids) lower_onto(c);
   }
   while (static_cast<int>(centroids.size()) < k) {
@@ -390,65 +273,27 @@ void record_kmeans_metrics(const IterationStats& stats) {
 
 }  // namespace
 
-KMeansResult kmeans(std::span<const std::vector<double>> points,
-                    const KMeansOptions& options, Rng& rng) {
-  require(options.k >= 1, "kmeans: k must be >= 1");
-  require(points.size() >= static_cast<std::size_t>(options.k),
-          "kmeans: need at least k points");
-  require(options.restarts >= 1, "kmeans: need at least one restart");
-  const std::size_t dim = points.front().size();
-  require(dim >= 1, "kmeans: zero-dimensional points");
-  for (const auto& p : points) {
-    require(p.size() == dim, "kmeans: inconsistent point dimensionality");
-  }
-
-  // Derive one RNG per restart up front (serially, so the caller's generator
-  // advances the same way at any thread count), then fan the restarts out.
-  // The winner is picked by (inertia, restart index), which makes the result
-  // independent of completion order.
-  std::vector<Rng> restart_rngs;
-  restart_rngs.reserve(static_cast<std::size_t>(options.restarts));
-  for (int r = 0; r < options.restarts; ++r) {
-    restart_rngs.push_back(rng.fork(static_cast<std::uint64_t>(r)));
-  }
-  std::vector<KMeansResult> runs(static_cast<std::size_t>(options.restarts));
-  parallel_for(runs.size(), [&](std::size_t r) {
-    runs[r] = run_once(points, options, restart_rngs[r]);
-  });
-
-  IterationStats stats;
-  stats.iterations_per_restart.reserve(runs.size());
-  for (const KMeansResult& run : runs) {
-    stats.iterations_per_restart.push_back(run.iterations);
-    stats.distances_computed += run.stats.distances_computed;
-    stats.distances_pruned += run.stats.distances_pruned;
-  }
-  std::size_t best = 0;
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    if (runs[r].inertia < runs[best].inertia) best = r;
-  }
-  KMeansResult result = std::move(runs[best]);
-  result.stats = std::move(stats);
-  record_kmeans_metrics(result.stats);
-  return result;
-}
-
 KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
                     Rng& rng) {
   require(options.k >= 1, "kmeans: k must be >= 1");
   require(points.rows() >= static_cast<std::size_t>(options.k),
           "kmeans: need at least k points");
   require(options.restarts >= 1, "kmeans: need at least one restart");
+  require(options.max_iterations >= 1,
+          "kmeans: need at least one iteration");
   require(points.cols() >= 1, "kmeans: zero-dimensional points");
+  require(options.anchors.size() <= static_cast<std::size_t>(options.k),
+          "kmeans: more anchors than clusters");
   for (const auto& anchor : options.anchors) {
     require(anchor.size() == points.cols(),
             "kmeans: anchor dimensionality mismatch");
   }
 
-  // Same restart discipline as the dense overload (restart RNGs forked
-  // serially up front, winner picked by (inertia, restart index)), but the
-  // restarts themselves run serially: the parallelism lives inside the
-  // chunked assignment step, and nested parallel regions are unsupported.
+  // Restart RNGs are forked serially up front and the winner is picked by
+  // (inertia, restart index), so the result does not depend on the
+  // schedule. The restarts themselves run serially: the parallelism lives
+  // inside the chunked assignment step, and nested parallel regions are
+  // unsupported.
   std::vector<Rng> restart_rngs;
   restart_rngs.reserve(static_cast<std::size_t>(options.restarts));
   for (int r = 0; r < options.restarts; ++r) {

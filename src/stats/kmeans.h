@@ -1,4 +1,5 @@
-// Dense k-means (k-means++ seeding, Lloyd iterations).
+// K-means (k-means++ seeding, Lloyd iterations with Hamerly bounds) over a
+// sparse CSR matrix.
 //
 // Section III-A of the paper classifies problem tickets by running k-means on
 // the description and resolution text; this is the clustering engine behind
@@ -6,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/stats/sparse_matrix.h"
@@ -24,7 +24,7 @@ struct IterationStats {
   std::vector<int> iterations_per_restart;
   // Point-to-centroid distance evaluations performed in the assignment
   // steps of every restart, and evaluations skipped by the Hamerly bound
-  // test (sparse path only; the dense reference path never prunes).
+  // test.
   std::uint64_t distances_computed = 0;
   std::uint64_t distances_pruned = 0;
 
@@ -63,29 +63,24 @@ struct KMeansOptions {
   // (ties broken by restart index, so the result is schedule-independent).
   int restarts = 4;
   double tolerance = 1e-7;  // relative inertia improvement to keep iterating
-  // Optional deterministic seed centroids (at most k, same dimensionality as
-  // the points). Every restart starts from these; k-means++ draws only the
-  // remaining k - anchors.size() centroids. Used to pin a centroid onto a
-  // known small mode that random seeding would miss (e.g. the ~2% crash
-  // tickets among all problem tickets).
+  // Optional deterministic seed centroids (at most k, dense, same
+  // dimensionality as the points). Every restart starts from these;
+  // k-means++ draws only the remaining k - anchors.size() centroids. Used
+  // to pin a centroid onto a known small mode that random seeding would
+  // miss (e.g. the ~2% crash tickets among all problem tickets).
   std::vector<std::vector<double>> anchors;
 };
 
-// points: n rows, all with the same dimensionality >= 1. Requires n >= k.
-KMeansResult kmeans(std::span<const std::vector<double>> points,
-                    const KMeansOptions& options, Rng& rng);
-
-// Sparse fast path over a CSR document-term matrix: identical semantics and
-// anchor handling to the dense overload (centroids stay dense, anchors are
-// dense). Point-to-centroid distances use the
+// Clusters the rows of a CSR document-term matrix. Requires rows() >= k,
+// cols() >= 1, max_iterations >= 1 and at most k anchors. Centroids stay
+// dense. Point-to-centroid distances use the
 // ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 expansion over only the row's
 // nonzeros, and the assignment step keeps Hamerly-style upper/lower bounds
 // so points whose nearest centroid cannot have changed skip the full
 // centroid scan. The assignment step is chunk-parallel with chunk
 // boundaries fixed by n alone and a serial in-order reduction, so the
 // result is bit-identical at any thread count (see docs/PERF.md). Restarts
-// run serially; the per-point parallelism replaces the dense overload's
-// per-restart parallelism.
+// run serially.
 KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
                     Rng& rng);
 

@@ -44,7 +44,6 @@ Vectorizer Vectorizer::fit(std::span<const std::string> documents,
   std::sort(kept.begin(), kept.end());
 
   Vectorizer v;
-  v.options_ = options;
   v.vocabulary_.reserve(kept.size());
   v.idf_.reserve(kept.size());
   for (const auto& [word, df] : kept) {
@@ -52,39 +51,11 @@ Vectorizer Vectorizer::fit(std::span<const std::string> documents,
     v.vocabulary_.push_back(word);
     // Smoothed IDF: ln((1+N)/(1+df)) + 1, never negative.
     const double n = static_cast<double>(documents.size());
-    v.idf_.push_back(options.use_idf
-                         ? std::log((1.0 + n) / (1.0 + df)) + 1.0
-                         : 1.0);
+    v.idf_.push_back(std::log((1.0 + n) / (1.0 + df)) + 1.0);
   }
   require(!v.vocabulary_.empty(),
           "Vectorizer::fit: no word passed the document-frequency filter");
   return v;
-}
-
-std::vector<double> Vectorizer::transform(const std::string& document) const {
-  std::vector<double> vec(vocabulary_.size(), 0.0);
-  for (const std::string& w : fa::tokenize_words(document)) {
-    const auto it = index_.find(w);
-    if (it != index_.end()) vec[it->second] += 1.0;
-  }
-  for (std::size_t i = 0; i < vec.size(); ++i) vec[i] *= idf_[i];
-  if (options_.l2_normalize) {
-    double norm = 0.0;
-    for (double x : vec) norm += x * x;
-    if (norm > 0.0) {
-      norm = std::sqrt(norm);
-      for (double& x : vec) x /= norm;
-    }
-  }
-  return vec;
-}
-
-std::vector<std::vector<double>> Vectorizer::transform_all(
-    std::span<const std::string> documents) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(documents.size());
-  for (const std::string& doc : documents) out.push_back(transform(doc));
-  return out;
 }
 
 std::vector<std::pair<std::uint32_t, double>> Vectorizer::transform_sparse(
@@ -98,8 +69,7 @@ std::vector<std::pair<std::uint32_t, double>> Vectorizer::transform_sparse(
   }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  // Merge duplicate indices by summing counts (small integer sums, so the
-  // term frequencies match the dense accumulation exactly).
+  // Merge duplicate indices by summing counts.
   std::size_t out = 0;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (out > 0 && entries[out - 1].first == entries[i].first) {
@@ -110,16 +80,11 @@ std::vector<std::pair<std::uint32_t, double>> Vectorizer::transform_sparse(
   }
   entries.resize(out);
   for (auto& [index, value] : entries) value *= idf_[index];
-  if (options_.l2_normalize) {
-    // Entries are index-sorted, so this accumulation visits the same
-    // nonzeros in the same order as the dense norm loop — the normalized
-    // weights come out bit-identical.
-    double norm = 0.0;
-    for (const auto& [index, value] : entries) norm += value * value;
-    if (norm > 0.0) {
-      norm = std::sqrt(norm);
-      for (auto& [index, value] : entries) value /= norm;
-    }
+  double norm = 0.0;
+  for (const auto& [index, value] : entries) norm += value * value;
+  if (norm > 0.0) {
+    norm = std::sqrt(norm);
+    for (auto& [index, value] : entries) value /= norm;
   }
   return entries;
 }

@@ -16,27 +16,18 @@ namespace fa::text {
 struct VectorizerOptions {
   // Drop words occurring in fewer than min_document_frequency documents.
   int min_document_frequency = 2;
-  // Apply inverse-document-frequency weighting.
-  bool use_idf = true;
-  // L2-normalize each document vector.
-  bool l2_normalize = true;
 };
 
-// Learns a vocabulary from a corpus and maps documents to dense TF-IDF
-// vectors. Words unseen at fit() time are ignored at transform() time.
+// Learns a vocabulary from a corpus and maps documents to sparse TF-IDF
+// vectors: term count x smoothed IDF, ln((1 + N) / (1 + df)) + 1, then
+// L2-normalized. Words unseen at fit() time are ignored when transforming.
 class Vectorizer {
  public:
   static Vectorizer fit(std::span<const std::string> documents,
                         const VectorizerOptions& options);
 
-  std::vector<double> transform(const std::string& document) const;
-  std::vector<std::vector<double>> transform_all(
-      std::span<const std::string> documents) const;
-
-  // Sparse counterparts: (vocabulary index, weight) entries sorted by index.
-  // Weights are bit-identical to the nonzeros of transform() — the dense
-  // path is the reference implementation, kept for cross-checking. A
-  // document with no in-vocabulary word yields an empty row.
+  // (vocabulary index, weight) entries sorted by index. A document with no
+  // in-vocabulary word yields an empty row.
   std::vector<std::pair<std::uint32_t, double>> transform_sparse(
       const std::string& document) const;
   // CSR matrix with one row per document and dimension() columns, built
@@ -52,7 +43,6 @@ class Vectorizer {
  private:
   Vectorizer() = default;
 
-  VectorizerOptions options_;
   std::vector<std::string> vocabulary_;
   std::unordered_map<std::string, std::size_t> index_;
   std::vector<double> idf_;

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include "src/util/error.h"
+#include "tests/test_support.h"
 
 namespace fa::stats {
 namespace {
 
+using fa::testing::to_csr;
+
 // Three well-separated 2-D blobs.
-std::vector<std::vector<double>> blobs(Rng& rng, int per_cluster) {
+SparseMatrix blobs(Rng& rng, int per_cluster) {
   const std::vector<std::vector<double>> centers = {
       {0.0, 0.0}, {10.0, 0.0}, {0.0, 10.0}};
   std::vector<std::vector<double>> points;
@@ -21,7 +24,7 @@ std::vector<std::vector<double>> blobs(Rng& rng, int per_cluster) {
                         c[1] + rng.normal(0.0, 0.5)});
     }
   }
-  return points;
+  return to_csr(points);
 }
 
 TEST(KMeans, RecoversSeparatedClusters) {
@@ -51,7 +54,7 @@ TEST(KMeans, AssignmentsInRangeAndComplete) {
   KMeansOptions options;
   options.k = 4;
   const auto result = kmeans(points, options, rng);
-  ASSERT_EQ(result.assignment.size(), points.size());
+  ASSERT_EQ(result.assignment.size(), points.rows());
   for (int a : result.assignment) {
     EXPECT_GE(a, 0);
     EXPECT_LT(a, options.k);
@@ -72,8 +75,7 @@ TEST(KMeans, InertiaDecreasesWithMoreClusters) {
 }
 
 TEST(KMeans, KEqualsNGivesZeroInertia) {
-  const std::vector<std::vector<double>> points = {
-      {0.0}, {5.0}, {9.0}};
+  const auto points = to_csr({{0.0}, {5.0}, {9.0}});
   KMeansOptions options;
   options.k = 3;
   Rng rng(5);
@@ -83,8 +85,8 @@ TEST(KMeans, KEqualsNGivesZeroInertia) {
 
 TEST(KMeans, HandlesDuplicatePoints) {
   // More clusters than distinct points: must not crash or loop forever.
-  const std::vector<std::vector<double>> points = {
-      {1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}};
+  const auto points =
+      to_csr({{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}});
   KMeansOptions options;
   options.k = 3;
   Rng rng(6);
@@ -95,7 +97,7 @@ TEST(KMeans, HandlesDuplicatePoints) {
 
 TEST(KMeans, RejectsBadArguments) {
   Rng rng(7);
-  const std::vector<std::vector<double>> points = {{1.0}, {2.0}};
+  const auto points = to_csr({{1.0}, {2.0}});
   KMeansOptions options;
   options.k = 3;  // more clusters than points
   EXPECT_THROW(kmeans(points, options, rng), Error);
@@ -103,16 +105,23 @@ TEST(KMeans, RejectsBadArguments) {
   options.k = 0;
   EXPECT_THROW(kmeans(points, options, rng), Error);
 
-  const std::vector<std::vector<double>> ragged = {{1.0}, {2.0, 3.0}};
   options.k = 1;
-  EXPECT_THROW(kmeans(ragged, options, rng), Error);
+  options.anchors = {{1.0, 2.0}};  // anchor dimensionality mismatch
+  EXPECT_THROW(kmeans(points, options, rng), Error);
+
+  options.anchors = {{1.0}, {2.0}};  // more anchors than clusters
+  EXPECT_THROW(kmeans(points, options, rng), Error);
+
+  options.anchors.clear();
+  options.max_iterations = 0;
+  EXPECT_THROW(kmeans(points, options, rng), Error);
 }
 
 TEST(KMeans, AnchorsFillingAllClustersSeedEveryCentroid) {
   // k anchors leave nothing for k-means++ to draw; seeding must use them
   // as-is (and skip its distance-initialization pass entirely).
-  const std::vector<std::vector<double>> points = {
-      {0.0, 0.0}, {0.5, 0.0}, {10.0, 0.0}, {10.5, 0.0}};
+  const auto points =
+      to_csr({{0.0, 0.0}, {0.5, 0.0}, {10.0, 0.0}, {10.5, 0.0}});
   KMeansOptions options;
   options.k = 2;
   options.restarts = 1;

@@ -40,7 +40,6 @@ void run_workload(std::size_t threads) {
 }
 
 TEST(MetricsRegistry, CounterHandlesAreIdempotentAndStable) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Counter& a = obs::counter("test.idem", {{"k", "v"}});
   obs::Counter& b = obs::counter("test.idem", {{"k", "v"}});
@@ -55,7 +54,6 @@ TEST(MetricsRegistry, CounterHandlesAreIdempotentAndStable) {
 }
 
 TEST(MetricsRegistry, ResetZeroesValuesButKeepsHandles) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Counter& counter = obs::counter("test.reset.counter");
   obs::Gauge& gauge = obs::gauge("test.reset.gauge");
@@ -85,7 +83,6 @@ TEST(MetricsRegistry, ResetZeroesValuesButKeepsHandles) {
 }
 
 TEST(MetricsRegistry, RuntimeToggleMakesOpsNoOps) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Counter& counter = obs::counter("test.toggle");
   obs::set_enabled(false);
@@ -99,7 +96,6 @@ TEST(MetricsRegistry, RuntimeToggleMakesOpsNoOps) {
 }
 
 TEST(MetricsRegistry, HistogramBucketPlacement) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Histogram& h = obs::histogram("test.buckets", {1.0, 10.0}, {},
                                      obs::Stability::kDeterministic);
@@ -160,7 +156,6 @@ TEST(BucketStats, QuantileBoundsAreSortedAndDeduped) {
 }
 
 TEST(MetricsRegistry, HistogramTracksExtremesAndMergesBucketStats) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Histogram& h = obs::histogram("test.merge", {1.0, 10.0}, {},
                                      obs::Stability::kDeterministic);
@@ -189,7 +184,6 @@ TEST(MetricsRegistry, HistogramTracksExtremesAndMergesBucketStats) {
 }
 
 TEST(Export, DeterministicHistogramsCarryQuantiles) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Histogram& h = obs::histogram("test.quantiles", {10.0, 100.0}, {},
                                      obs::Stability::kDeterministic);
@@ -211,7 +205,6 @@ TEST(MetricsRegistry, CanonicalLabelsSortByKey) {
 }
 
 TEST(Span, NestingRecordsDepthAndCloseOrder) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   {
     obs::Span outer("test.outer");
@@ -234,7 +227,6 @@ TEST(Span, NestingRecordsDepthAndCloseOrder) {
 }
 
 TEST(Span, CloseEndsEarlyAndIsIdempotent) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   {
     obs::Span span("test.early");
@@ -245,7 +237,6 @@ TEST(Span, CloseEndsEarlyAndIsIdempotent) {
 }
 
 TEST(Span, ThreadsGetDistinctBufferIds) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   { obs::Span span("test.tid.main"); }
   std::thread other([] { obs::Span span("test.tid.other"); });
@@ -256,7 +247,6 @@ TEST(Span, ThreadsGetDistinctBufferIds) {
 }
 
 TEST(Determinism, DeterministicJsonIsByteIdenticalAcrossThreadCounts) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   run_workload(1);
   const std::string serial = obs::deterministic_json(registry().snapshot());
@@ -271,7 +261,6 @@ TEST(Determinism, DeterministicJsonIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, TimingDataStaysOutOfDeterministicSection) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   run_workload(4);
   const std::string det = obs::deterministic_json(registry().snapshot());
@@ -283,7 +272,6 @@ TEST(Determinism, TimingDataStaysOutOfDeterministicSection) {
 }
 
 TEST(Export, ToJsonEmbedsDeterministicPayloadVerbatim) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   run_workload(2);
   const auto snapshot = registry().snapshot();
@@ -297,10 +285,11 @@ TEST(Export, ToJsonEmbedsDeterministicPayloadVerbatim) {
   EXPECT_NE(payload.find("\"deterministic\""), std::string::npos);
   EXPECT_NE(full.find(payload), std::string::npos);
   EXPECT_NE(full.find("\"timing\""), std::string::npos);
+  EXPECT_NE(obs::to_json(obs::MetricsSnapshot{}).find("\"deterministic\""),
+            std::string::npos);
 }
 
 TEST(Export, ChromeTraceShape) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   {
     obs::Span outer("trace.outer");
@@ -313,10 +302,11 @@ TEST(Export, ChromeTraceShape) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"trace.inner\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"trace.outer\""), std::string::npos);
+  EXPECT_NE(obs::chrome_trace_json({}).find("\"traceEvents\""),
+            std::string::npos);
 }
 
 TEST(Export, TableRendersAllMetricKinds) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::counter("test.table.counter").add(3);
   obs::gauge("test.table.gauge").set(1.25);
@@ -327,6 +317,8 @@ TEST(Export, TableRendersAllMetricKinds) {
   EXPECT_NE(table.find("test.table.gauge"), std::string::npos);
   EXPECT_NE(table.find("test.table.hist"), std::string::npos);
   EXPECT_NE(table.find("test.table.span"), std::string::npos);
+  EXPECT_EQ(obs::render_table(obs::MetricsSnapshot{}),
+            "(no metrics recorded)\n");
 }
 
 }  // namespace

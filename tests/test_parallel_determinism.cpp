@@ -11,6 +11,7 @@
 #include "src/stats/bootstrap.h"
 #include "src/stats/kmeans.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_support.h"
 
 namespace fa {
 namespace {
@@ -85,11 +86,13 @@ TEST_F(ParallelDeterminism, PipelineIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelDeterminism, KMeansIdenticalAcrossThreadCounts) {
-  std::vector<std::vector<double>> points;
+  // Enough points for several assignment chunks, so threads split the work.
+  std::vector<std::vector<double>> rows;
   Rng data_rng(42);
-  for (int i = 0; i < 300; ++i) {
-    points.push_back({data_rng.uniform(), data_rng.uniform() + (i % 3)});
+  for (int i = 0; i < 5000; ++i) {
+    rows.push_back({data_rng.uniform(), data_rng.uniform() + (i % 3)});
   }
+  const auto points = testing::to_csr(rows);
   stats::KMeansOptions options;
   options.k = 3;
   options.restarts = 8;

@@ -1,9 +1,12 @@
-// Sparse classification fast path: CSR feature extraction and the
-// bound-pruned sparse k-means overload must reproduce the dense reference
-// implementation exactly — same nonzero weights, same cluster assignments,
-// same labels and accuracy — at any thread count.
+// Classification path: CSR TF-IDF features must carry the hand-computed
+// weights, and the bound-pruned k-means must reproduce a brute-force Lloyd
+// oracle exactly — same assignments, same iteration count — at any thread
+// count.
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,9 +15,7 @@
 #include "src/stats/kmeans.h"
 #include "src/stats/sparse_matrix.h"
 #include "src/text/features.h"
-#include "src/text/vocabulary.h"
 #include "src/util/error.h"
-#include "src/util/strings.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_support.h"
 
@@ -66,19 +67,38 @@ TEST(SparseMatrix, RejectsMalformedRows) {
   EXPECT_THROW(m.append_row(std::vector<std::uint32_t>{0, 1}, one), Error);
 }
 
-TEST(SparseFeatures, CsrMatchesDenseTransformBitForBit) {
-  const auto v = fit_corpus();
-  const auto dense = v.transform_all(kCorpus);
+// Every weight is tf x idf / ||tf x idf||, with the smoothed
+// idf = ln((1 + N) / (1 + df)) + 1 over N = 5 documents.
+TEST(SparseFeatures, WeightsMatchHandComputedTfIdf) {
+  const auto v = fit_corpus(/*min_df=*/1);
+  const double idf1 = std::log(6.0 / 2.0) + 1.0;  // df 1
+  const double idf2 = std::log(6.0 / 3.0) + 1.0;  // disk, network, replaced
+  const auto weights = [&](std::vector<std::pair<std::string, double>> tf_idf) {
+    double norm = 0.0;
+    for (const auto& [word, w] : tf_idf) norm += w * w;
+    std::map<std::string, double> out;
+    for (const auto& [word, w] : tf_idf) out[word] = w / std::sqrt(norm);
+    return out;
+  };
+  const std::vector<std::map<std::string, double>> expected = {
+      weights({{"disk", 2 * idf2}, {"failed", idf1}, {"replaced", idf2}}),
+      weights({{"disk", idf2}, {"error", idf1}, {"on", idf1},
+               {"server", idf1}}),
+      weights({{"network", idf2}, {"rebooted", idf1}, {"switch", idf1}}),
+      weights({{"cable", idf1}, {"network", idf2}, {"replaced", idf2}}),
+      weights({{"blockchain", idf1}, {"nonsense", idf1}, {"quantum", idf1}}),
+  };
   const auto sparse = v.transform_all_sparse(kCorpus);
   ASSERT_EQ(sparse.rows(), kCorpus.size());
   ASSERT_EQ(sparse.cols(), v.dimension());
-  const auto round_trip = sparse.to_dense();
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    ASSERT_EQ(round_trip[i].size(), dense[i].size());
-    for (std::size_t d = 0; d < dense[i].size(); ++d) {
-      // Bit-identical, not just close: the sparse path must be a drop-in
-      // replacement wherever the dense weights fed comparisons.
-      EXPECT_EQ(round_trip[i][d], dense[i][d]) << "doc " << i << " dim " << d;
+  for (std::size_t i = 0; i < kCorpus.size(); ++i) {
+    const auto row = sparse.row(i);
+    ASSERT_EQ(row.size(), expected[i].size()) << "doc " << i;
+    for (std::size_t e = 0; e < row.size(); ++e) {
+      const std::string& word = v.vocabulary()[row.indices[e]];
+      ASSERT_TRUE(expected[i].contains(word)) << "doc " << i << " " << word;
+      EXPECT_DOUBLE_EQ(row.values[e], expected[i].at(word))
+          << "doc " << i << " " << word;
     }
   }
 }
@@ -109,8 +129,18 @@ TEST(SparseFeatures, EmptyDocumentYieldsEmptyRow) {
   EXPECT_DOUBLE_EQ(sparse.row_norm_sq(4), 0.0);
 }
 
-// Sparse k-means on well-separated sparse blobs must agree with the dense
-// overload run on the densified matrix.
+void expect_matches_oracle(const stats::KMeansResult& run,
+                           const testing::LloydResult& oracle) {
+  EXPECT_EQ(run.assignment, oracle.assignment);
+  EXPECT_EQ(run.iterations, oracle.iterations);
+  EXPECT_NEAR(run.inertia, oracle.inertia, 1e-9 * oracle.inertia);
+  // Equal assignments sum the same nonzeros in the same order.
+  EXPECT_EQ(run.centroids, oracle.centroids);
+}
+
+// Against the dense brute-force oracle: four well-separated sparse blobs,
+// all k centroids anchored inside the first blob so Lloyd has to walk three
+// of them out.
 TEST(SparseKMeans, MatchesDenseOnSeparatedSparseBlobs) {
   Rng data_rng(17);
   stats::SparseMatrix points(12);
@@ -124,25 +154,23 @@ TEST(SparseKMeans, MatchesDenseOnSeparatedSparseBlobs) {
       points.append_row(idx, val);
     }
   }
-  const auto dense = points.to_dense();
   stats::KMeansOptions options;
   options.k = 4;
-  Rng r1(23), r2(23);
-  const auto dense_run = stats::kmeans(dense, options, r1);
-  const auto sparse_run = stats::kmeans(points, options, r2);
-  EXPECT_EQ(dense_run.assignment, sparse_run.assignment);
-  EXPECT_NEAR(dense_run.inertia, sparse_run.inertia,
-              1e-9 * (1.0 + dense_run.inertia));
-  ASSERT_EQ(dense_run.centroids.size(), sparse_run.centroids.size());
-  for (std::size_t c = 0; c < dense_run.centroids.size(); ++c) {
-    for (std::size_t d = 0; d < dense_run.centroids[c].size(); ++d) {
-      EXPECT_NEAR(dense_run.centroids[c][d], sparse_run.centroids[c][d], 1e-9);
-    }
+  for (std::size_t i = 0; i < 4; ++i) {
+    options.anchors.push_back(points.row_dense(i));
   }
+  Rng rng(23);
+  expect_matches_oracle(stats::kmeans(points, options, rng),
+                        testing::lloyd_oracle(points, options));
 }
 
-// The anchored 24-cluster crash-extraction configuration, dense vs sparse,
-// on the simulated corpus: identical assignments at 1, 2 and 8 threads.
+// The crash-extraction shape — TF-IDF over every ticket description of the
+// simulated trace, 24 clusters, 3 restarts — against the dense brute-force
+// oracle. The rows span 9 assignment chunks, so 2 and 8 threads split the
+// Hamerly-pruned scan. The centroids start at the first 24 distinct
+// documents, anchor j scaled by 1 + j/100: unit-length anchors are all at
+// distance exactly 2 from a document that shares no word with them, which
+// would leave the nearest one to rounding.
 TEST(SparseKMeans, CrashExtractionConfigurationMatchesDense) {
   const auto& db = fa::testing::small_simulated_db();
   std::vector<std::string> corpus;
@@ -151,110 +179,27 @@ TEST(SparseKMeans, CrashExtractionConfigurationMatchesDense) {
   text::VectorizerOptions vec_options;
   vec_options.min_document_frequency = 3;
   const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-  const auto dense = vectorizer.transform_all(corpus);
-  const auto sparse = vectorizer.transform_all_sparse(corpus);
+  const auto features = vectorizer.transform_all_sparse(corpus);
 
   stats::KMeansOptions km;
   km.k = 24;
   km.restarts = 3;
-  km.anchors.push_back(dense.front());  // anchored, as in crash extraction
-
-  Rng dense_rng(31);
-  const auto reference = stats::kmeans(dense, km, dense_rng);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool::set_default_thread_count(threads);
-    Rng sparse_rng(31);
-    const auto run = stats::kmeans(sparse, km, sparse_rng);
-    EXPECT_EQ(run.assignment, reference.assignment) << threads << " threads";
-    EXPECT_NEAR(run.inertia, reference.inertia, 1e-9 * (1.0 + reference.inertia))
-        << threads << " threads";
-  }
-  ThreadPool::set_default_thread_count(0);
-}
-
-// Dense reference implementation of classify_tickets (the pre-sparse code
-// path: dense TF-IDF + dense k-means + identical labeling), used to pin
-// that the production sparse path produces the same labels and accuracy.
-analysis::ClassificationResult dense_reference_classify(
-    std::span<const trace::Ticket* const> tickets,
-    const analysis::ClassifierOptions& options, Rng& rng) {
-  std::vector<std::string> corpus;
-  corpus.reserve(tickets.size());
-  for (const trace::Ticket* t : tickets) {
-    corpus.push_back(t->description + " " + t->resolution);
-  }
-  text::VectorizerOptions vec_options;
-  vec_options.min_document_frequency = options.min_document_frequency;
-  const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-  const auto features = vectorizer.transform_all(corpus);
-
-  stats::KMeansOptions km;
-  km.k = options.clusters;
-  km.restarts = options.kmeans_restarts;
-  analysis::ClassificationResult result;
-  result.clustering = stats::kmeans(features, km, rng);
-
-  std::vector<std::array<int, trace::kFailureClassCount>> votes(
-      static_cast<std::size_t>(options.clusters));
-  for (auto& v : votes) v.fill(0);
-  std::array<double, trace::kFailureClassCount> global{};
-  std::size_t labeled = 0;
-  for (std::size_t i = 0; i < tickets.size(); ++i) {
-    if (!rng.bernoulli(options.labeled_fraction)) continue;
-    ++labeled;
-    global[static_cast<std::size_t>(tickets[i]->true_class)] += 1.0;
-    const auto cluster =
-        static_cast<std::size_t>(result.clustering.assignment[i]);
-    ++votes[cluster][static_cast<std::size_t>(tickets[i]->true_class)];
-  }
-  for (double& g : global) g = std::max(g / static_cast<double>(labeled), 1e-9);
-
-  std::vector<trace::FailureClass> cluster_label(
-      static_cast<std::size_t>(options.clusters), trace::FailureClass::kOther);
-  for (std::size_t c = 0; c < votes.size(); ++c) {
-    int cluster_total = 0;
-    for (int v : votes[c]) cluster_total += v;
-    if (cluster_total == 0) continue;
-    double best_lift = 1.5;
-    for (std::size_t k = 0; k < trace::kFailureClassCount; ++k) {
-      if (static_cast<trace::FailureClass>(k) == trace::FailureClass::kOther) {
-        continue;
-      }
-      const double share = static_cast<double>(votes[c][k]) / cluster_total;
-      const double lift = share / global[k];
-      if (lift > best_lift && share >= 0.40) {
-        best_lift = lift;
-        cluster_label[c] = static_cast<trace::FailureClass>(k);
-      }
+  for (std::size_t i = 0; km.anchors.size() < 24; ++i) {
+    auto row = features.row_dense(i);
+    if (std::find(km.anchors.begin(), km.anchors.end(), row) ==
+        km.anchors.end()) {
+      km.anchors.push_back(std::move(row));
     }
   }
-
-  int correct = 0;
-  for (std::size_t i = 0; i < tickets.size(); ++i) {
-    const auto cluster =
-        static_cast<std::size_t>(result.clustering.assignment[i]);
-    result.predicted.push_back(cluster_label[cluster]);
-    correct += result.predicted.back() == tickets[i]->true_class;
+  for (std::size_t j = 0; j < km.anchors.size(); ++j) {
+    for (double& w : km.anchors[j]) w *= 1.0 + 0.01 * static_cast<double>(j);
   }
-  result.accuracy =
-      static_cast<double>(correct) / static_cast<double>(tickets.size());
-  return result;
-}
-
-TEST(SparseClassification, LabelsAndAccuracyMatchDenseReference) {
-  const auto& db = fa::testing::small_simulated_db();
-  const auto tickets = analysis::extract_crash_tickets(db);
-  Rng dense_rng(8);
-  const auto reference = dense_reference_classify(tickets, {}, dense_rng);
+  const auto oracle = testing::lloyd_oracle(features, km);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ThreadPool::set_default_thread_count(threads);
-    Rng sparse_rng(8);
-    const auto result = analysis::classify_tickets(tickets, {}, sparse_rng);
-    EXPECT_EQ(result.clustering.assignment, reference.clustering.assignment)
-        << threads << " threads";
-    EXPECT_EQ(result.predicted, reference.predicted) << threads << " threads";
-    EXPECT_DOUBLE_EQ(result.accuracy, reference.accuracy)
-        << threads << " threads";
+    Rng rng(31);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_matches_oracle(stats::kmeans(features, km, rng), oracle);
   }
   ThreadPool::set_default_thread_count(0);
 }
@@ -292,11 +237,9 @@ TEST(SparseKMeans, AnchorsFillingAllClustersSkipSeedingDraws) {
   options.k = 2;
   options.restarts = 1;
   options.anchors = {{0.0, 0.0}, {10.0, 0.0}};
-  Rng r1(5), r2(5);
-  const auto sparse_run = stats::kmeans(points, options, r1);
-  const auto dense_run = stats::kmeans(points.to_dense(), options, r2);
-  EXPECT_EQ(sparse_run.assignment, dense_run.assignment);
-  EXPECT_NEAR(sparse_run.inertia, dense_run.inertia, 1e-9);
+  Rng rng(5);
+  expect_matches_oracle(stats::kmeans(points, options, rng),
+                        testing::lloyd_oracle(points, options));
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
 // Shared helpers for the test suite: a builder for small hand-crafted trace
-// databases and a cached scaled-down simulation for integration tests.
+// databases, a cached scaled-down simulation for integration tests, and a
+// brute-force Lloyd oracle for the k-means tests.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/sim/config.h"
 #include "src/sim/simulator.h"
+#include "src/stats/kmeans.h"
+#include "src/stats/sparse_matrix.h"
 #include "src/trace/database.h"
+#include "src/util/error.h"
 
 namespace fa::testing {
 
@@ -105,6 +112,86 @@ inline const trace::TraceDatabase& small_simulated_db() {
     return sim::simulate(config);
   }();
   return db;
+}
+
+// CSR copy of equal-length dense rows, keeping only their nonzero entries.
+inline stats::SparseMatrix to_csr(
+    const std::vector<std::vector<double>>& rows) {
+  stats::SparseMatrix matrix(rows.front().size());
+  for (const auto& row : rows) {
+    std::vector<std::uint32_t> indices;
+    std::vector<double> values;
+    for (std::size_t d = 0; d < row.size(); ++d) {
+      if (row[d] == 0.0) continue;
+      indices.push_back(static_cast<std::uint32_t>(d));
+      values.push_back(row[d]);
+    }
+    matrix.append_row(indices, values);
+  }
+  return matrix;
+}
+
+struct LloydResult {
+  std::vector<int> assignment;
+  std::vector<std::vector<double>> centroids;
+  double inertia = 0.0;
+  int iterations = 0;
+};
+
+// Reference for stats::kmeans: plain Lloyd iterations over the densified
+// rows, with every point-to-centroid distance summed term by term and no
+// pruning. It starts from options.anchors, which must hold all k centroids,
+// so stats::kmeans draws nothing from its RNG either, and it stops by the
+// same rule (inertia improved by at most tolerance x the previous
+// inertia). An emptied cluster throws: stats::kmeans would reseed it from
+// its RNG, which the oracle does not model.
+inline LloydResult lloyd_oracle(const stats::SparseMatrix& points,
+                                const stats::KMeansOptions& options) {
+  require(options.anchors.size() == static_cast<std::size_t>(options.k),
+          "lloyd_oracle: needs k anchors");
+  const auto x = points.to_dense();
+  LloydResult r;
+  r.centroids = options.anchors;
+  r.assignment.assign(x.size(), -1);
+  double previous = std::numeric_limits<double>::infinity();
+  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+    r.iterations = iter;
+    r.inertia = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      double best = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < r.centroids.size(); ++c) {
+        double sq = 0.0;
+        for (std::size_t d = 0; d < x[i].size(); ++d) {
+          const double diff = x[i][d] - r.centroids[c][d];
+          sq += diff * diff;
+        }
+        if (sq < best) {
+          best = sq;
+          r.assignment[i] = static_cast<int>(c);
+        }
+      }
+      r.inertia += best;
+    }
+    std::vector<std::vector<double>> sums(
+        r.centroids.size(), std::vector<double>(points.cols(), 0.0));
+    std::vector<std::size_t> counts(r.centroids.size(), 0);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const auto c = static_cast<std::size_t>(r.assignment[i]);
+      ++counts[c];
+      for (std::size_t d = 0; d < x[i].size(); ++d) sums[c][d] += x[i][d];
+    }
+    for (std::size_t c = 0; c < r.centroids.size(); ++c) {
+      require(counts[c] > 0, "lloyd_oracle: a cluster emptied");
+      for (std::size_t d = 0; d < sums[c].size(); ++d) {
+        r.centroids[c][d] = sums[c][d] / static_cast<double>(counts[c]);
+      }
+    }
+    if (iter > 1 && previous - r.inertia <= options.tolerance * previous) {
+      break;
+    }
+    previous = r.inertia;
+  }
+  return r;
 }
 
 }  // namespace fa::testing

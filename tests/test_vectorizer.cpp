@@ -1,6 +1,10 @@
 #include "src/text/features.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,21 +34,34 @@ TEST(Vectorizer, VocabularyRespectsMinDocumentFrequency) {
   EXPECT_EQ(std::find(vocab.begin(), vocab.end(), "switch"), vocab.end());
 }
 
+// Weight of `word` in a transform_sparse() result (0 when absent).
+double weight(const Vectorizer& v,
+              const std::vector<std::pair<std::uint32_t, double>>& entries,
+              const std::string& word) {
+  for (const auto& [index, value] : entries) {
+    if (v.vocabulary()[index] == word) return value;
+  }
+  return 0.0;
+}
+
 TEST(Vectorizer, TransformDimensionMatchesVocabulary) {
   VectorizerOptions options;
   options.min_document_frequency = 1;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto vec = v.transform(kCorpus[0]);
-  EXPECT_EQ(vec.size(), v.dimension());
+  EXPECT_EQ(v.transform_all_sparse(kCorpus).cols(), v.dimension());
+  for (const auto& [index, value] : v.transform_sparse(kCorpus[0])) {
+    EXPECT_LT(index, v.dimension());
+  }
 }
 
 TEST(Vectorizer, L2NormalizationUnitLength) {
   VectorizerOptions options;
   options.min_document_frequency = 1;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto vec = v.transform("disk error network");
   double norm = 0.0;
-  for (double x : vec) norm += x * x;
+  for (const auto& [index, value] : v.transform_sparse("disk error network")) {
+    norm += value * value;
+  }
   EXPECT_NEAR(std::sqrt(norm), 1.0, 1e-12);
 }
 
@@ -52,44 +69,30 @@ TEST(Vectorizer, UnseenWordsIgnored) {
   VectorizerOptions options;
   options.min_document_frequency = 1;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto vec = v.transform("quantum blockchain nonsense");
-  for (double x : vec) EXPECT_DOUBLE_EQ(x, 0.0);
+  EXPECT_TRUE(v.transform_sparse("quantum blockchain nonsense").empty());
 }
 
 TEST(Vectorizer, IdfDownweightsCommonWords) {
-  // "disk" appears in 3 of 4 docs, "cable" in 1: with IDF the rare word
+  // "disk" appears in 2 of 4 docs, "cable" in 1: with IDF the rare word
   // should get more weight for equal term frequency.
   VectorizerOptions options;
   options.min_document_frequency = 1;
-  options.l2_normalize = false;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto vec = v.transform("disk cable");
-  const auto& vocab = v.vocabulary();
-  double disk_w = 0.0, cable_w = 0.0;
-  for (std::size_t i = 0; i < vocab.size(); ++i) {
-    if (vocab[i] == "disk") disk_w = vec[i];
-    if (vocab[i] == "cable") cable_w = vec[i];
-  }
-  EXPECT_GT(cable_w, disk_w);
-  EXPECT_GT(disk_w, 0.0);
+  const auto entries = v.transform_sparse("disk cable");
+  EXPECT_GT(weight(v, entries, "cable"), weight(v, entries, "disk"));
+  EXPECT_GT(weight(v, entries, "disk"), 0.0);
 }
 
 TEST(Vectorizer, RepeatedWordsIncreaseTermFrequency) {
+  // Normalization scales a document's weights together, so the ratio of
+  // two words' weights moves with their term frequencies alone.
   VectorizerOptions options;
   options.min_document_frequency = 1;
-  options.l2_normalize = false;
-  options.use_idf = false;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto once = v.transform("disk");
-  const auto thrice = v.transform("disk disk disk");
-  double w1 = 0.0, w3 = 0.0;
-  for (std::size_t i = 0; i < v.vocabulary().size(); ++i) {
-    if (v.vocabulary()[i] == "disk") {
-      w1 = once[i];
-      w3 = thrice[i];
-    }
-  }
-  EXPECT_DOUBLE_EQ(w3, 3.0 * w1);
+  const auto once = v.transform_sparse("disk cable");
+  const auto twice = v.transform_sparse("disk disk cable");
+  EXPECT_DOUBLE_EQ(weight(v, twice, "disk") / weight(v, twice, "cable"),
+                   2.0 * weight(v, once, "disk") / weight(v, once, "cable"));
 }
 
 TEST(Vectorizer, DeterministicVocabularyOrder) {

@@ -9,8 +9,8 @@ Compares a freshly produced bench artifact (BENCH_perf.json or the
 extracted BENCH_detect.json) against a baseline and fails on regressions:
 
   * booleans        — a correctness flag must not go true -> false
-                      (parallel_identical_to_serial, sparse_matches_dense,
-                      roundtrip_identical, ...).
+                      (parallel_identical_to_serial, roundtrip_identical,
+                      out_of_core_matches, ...).
   * precision /     — must not drop more than 0.05 below the baseline
     recall            (needs a matching "scale" guard).
   * median_latency_days — must not grow more than 7 days past the baseline.

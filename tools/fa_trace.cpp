@@ -137,19 +137,24 @@
 // 3 I/O failure (unreadable, truncated or crash-damaged file).
 #include <algorithm>
 #include <array>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <exception>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <span>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/failure_rates.h"
@@ -222,6 +227,56 @@ int usage() {
   return 2;
 }
 
+// A malformed numeric flag or operand; main() reports it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Parses all of `text` as a T with std::from_chars, as
+// ThreadPool::parse_thread_count does for --threads: leading whitespace or
+// '+', a sign on an unsigned type, out-of-range values and trailing
+// characters are rejected, and floating-point values must be finite.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+// The operand of the numeric flag at args[i], which must exist; advances i
+// past it. Throws UsageError naming the flag and the operand when the
+// operand does not parse.
+template <typename T>
+T number_flag(const std::vector<std::string>& args, std::size_t& i) {
+  const std::string& flag = args[i];
+  const std::string& text = args[++i];
+  const std::optional<T> value = parse_number<T>(text);
+  if (!value) throw UsageError("invalid " + flag + " value '" + text + "'");
+  return *value;
+}
+
+// Same for a FIRST:SECOND operand (`shape` names the parts), split at its
+// first colon.
+template <typename First, typename Second>
+std::pair<First, Second> number_pair(const std::vector<std::string>& args,
+                                     std::size_t& i, std::string_view shape) {
+  const std::string& flag = args[i];
+  const std::string& text = args[++i];
+  const auto colon = text.find(':');
+  if (colon != std::string::npos) {
+    const auto first = parse_number<First>(text.substr(0, colon));
+    const auto second = parse_number<Second>(text.substr(colon + 1));
+    if (first && second) return {*first, *second};
+  }
+  throw UsageError(flag + " expects " + std::string(shape) + ", got '" +
+                   text + "'");
+}
+
 int unknown_command(const std::string& command) {
   std::cerr << "fa_trace: unknown command '" << command
             << "'\navailable commands: simulate, report, watch, serve, top, "
@@ -269,17 +324,16 @@ int cmd_simulate(const std::vector<std::string>& args) {
     if (args[i] == "--out" && i + 1 < args.size()) {
       out = args[++i];
     } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::atof(args[++i].c_str());
+      scale = number_flag<double>(args, i);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = number_flag<std::uint64_t>(args, i);
       have_seed = true;
     } else if (args[i] == "--checkpoint-every" && i + 1 < args.size()) {
-      checkpoint_every = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      checkpoint_every = number_flag<std::uint32_t>(args, i);
     } else if (args[i] == "--io-crash-at" && i + 1 < args.size()) {
-      io_crash_at = std::strtoll(args[++i].c_str(), nullptr, 10);
+      io_crash_at = number_flag<std::int64_t>(args, i);
     } else if (args[i] == "--io-seed" && i + 1 < args.size()) {
-      io_seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      io_seed = number_flag<std::uint64_t>(args, i);
     } else {
       std::cerr << "simulate: unknown argument '" << args[i] << "'\n";
       return usage();
@@ -453,8 +507,7 @@ int cmd_convert(const std::vector<std::string>& args) {
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out = args[++i];
     } else if (args[i] == "--chunk-rows" && i + 1 < args.size()) {
-      chunk_rows = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      chunk_rows = number_flag<std::uint32_t>(args, i);
     } else {
       std::cerr << "convert: unknown argument '" << args[i] << "'\n";
       return usage();
@@ -590,44 +643,31 @@ struct StreamFlags {
   std::string stats_out;          // heartbeat JSONL sink ("" = stdout)
 };
 
-// Parses one --shift D:F operand ("rate x F from stream day D on").
-bool parse_shift(const std::string& spec,
-                 std::vector<std::pair<double, double>>& out) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
-    std::cerr << "--shift expects DAY:FACTOR, got '" << spec << "'\n";
-    return false;
-  }
-  out.emplace_back(std::atof(spec.substr(0, colon).c_str()),
-                   std::atof(spec.c_str() + colon + 1));
-  return true;
-}
-
 // Consumes a stream flag at args[i] if it is one; returns true and advances
-// `i` past any operand. `ok` turns false on a malformed operand.
+// `i` past any operand. Each --shift D:F operand means "rate x F from
+// stream day D on".
 bool consume_stream_flag(const std::vector<std::string>& args, std::size_t& i,
-                         StreamFlags& flags, bool& ok) {
+                         StreamFlags& flags) {
   const std::string& arg = args[i];
   const bool has_operand = i + 1 < args.size();
   if (arg == "--shift" && has_operand) {
-    ok = parse_shift(args[++i], flags.shifts) && ok;
+    flags.shifts.push_back(number_pair<double, double>(args, i, "DAY:FACTOR"));
   } else if (arg == "--cutoff" && has_operand) {
-    flags.cutoff_days = std::atof(args[++i].c_str());
+    flags.cutoff_days = number_flag<double>(args, i);
   } else if (arg == "--threshold" && has_operand) {
-    flags.threshold_nats = std::atof(args[++i].c_str());
+    flags.threshold_nats = number_flag<double>(args, i);
   } else if (arg == "--warmup-weeks" && has_operand) {
-    flags.warmup_weeks = std::atof(args[++i].c_str());
+    flags.warmup_weeks = number_flag<double>(args, i);
   } else if (arg == "--ooo" && has_operand) {
     flags.ooo = args[++i];
   } else if (arg == "--slack" && has_operand) {
-    flags.slack_minutes = std::atof(args[++i].c_str());
+    flags.slack_minutes = number_flag<double>(args, i);
   } else if (arg == "--score") {
     flags.score = true;
   } else if (arg == "--horizon" && has_operand) {
-    flags.horizon_days = std::atof(args[++i].c_str());
+    flags.horizon_days = number_flag<double>(args, i);
   } else if (arg == "--stats-every" && has_operand) {
-    flags.stats_every_days = std::atof(args[++i].c_str());
+    flags.stats_every_days = number_flag<double>(args, i);
   } else if (arg == "--stats-out" && has_operand) {
     flags.stats_out = args[++i];
   } else {
@@ -680,14 +720,13 @@ int cmd_watch(const std::vector<std::string>& args) {
   std::uint64_t seed = 0;
   bool have_seed = false;
   StreamFlags flags;
-  bool flags_ok = true;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (consume_stream_flag(args, i, flags, flags_ok)) {
+    if (consume_stream_flag(args, i, flags)) {
       continue;
     } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::atof(args[++i].c_str());
+      scale = number_flag<double>(args, i);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = number_flag<std::uint64_t>(args, i);
       have_seed = true;
     } else if (args[i] == "--alerts-out" && i + 1 < args.size()) {
       alerts_out = args[++i];
@@ -698,7 +737,7 @@ int cmd_watch(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  if (!flags_ok || scale <= 0.0) return usage();
+  if (scale <= 0.0) return usage();
   if (!flags.stats_out.empty() && flags.stats_every_days <= 0.0) {
     std::cerr << "watch: --stats-out needs --stats-every D\n";
     return usage();
@@ -766,44 +805,31 @@ int cmd_watch(const std::vector<std::string>& args) {
   return 0;
 }
 
-// Parses one --throttle T:MIN operand ("tenant T is a slow consumer that
-// takes MIN sim-minutes per event").
-bool parse_throttle(const std::string& spec,
-                    std::vector<std::pair<int, double>>& out) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-    std::cerr << "--throttle expects TENANT:MINUTES, got '" << spec << "'\n";
-    return false;
-  }
-  out.emplace_back(std::atoi(spec.substr(0, colon).c_str()),
-                   std::atof(spec.c_str() + colon + 1));
-  return true;
-}
-
 int cmd_serve(const std::vector<std::string>& args) {
   int tenants = 4;
   double scale = 0.3;
   std::uint64_t base_seed = 1;
-  std::vector<std::pair<int, double>> throttles;  // (tenant index, minutes)
+  // (tenant index, minutes): each --throttle T:MIN makes tenant T a slow
+  // consumer that takes MIN sim-minutes per event.
+  std::vector<std::pair<int, double>> throttles;
   StreamFlags flags;
-  bool flags_ok = true;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (consume_stream_flag(args, i, flags, flags_ok)) {
+    if (consume_stream_flag(args, i, flags)) {
       continue;
     } else if (args[i] == "--tenants" && i + 1 < args.size()) {
-      tenants = std::atoi(args[++i].c_str());
+      tenants = number_flag<int>(args, i);
     } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::atof(args[++i].c_str());
+      scale = number_flag<double>(args, i);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      base_seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      base_seed = number_flag<std::uint64_t>(args, i);
     } else if (args[i] == "--throttle" && i + 1 < args.size()) {
-      flags_ok = parse_throttle(args[++i], throttles) && flags_ok;
+      throttles.push_back(number_pair<int, double>(args, i, "TENANT:MINUTES"));
     } else {
       std::cerr << "serve: unknown argument '" << args[i] << "'\n";
       return usage();
     }
   }
-  if (!flags_ok || tenants <= 0 || scale <= 0.0) return usage();
+  if (tenants <= 0 || scale <= 0.0) return usage();
   if (!flags.stats_out.empty() && flags.stats_every_days <= 0.0) {
     std::cerr << "serve: --stats-out needs --stats-every D\n";
     return usage();
@@ -1107,7 +1133,11 @@ int cmd_sanitize(const std::vector<std::string>& args) {
 bool parse_mix(const std::string& spec, inject::DefectMix& mix) {
   for (const std::string& entry : split(spec, ',')) {
     const auto eq = entry.find('=');
-    if (eq == std::string::npos) {
+    const std::optional<double> rate =
+        eq == std::string::npos
+            ? std::nullopt
+            : parse_number<double>(std::string_view(entry).substr(eq + 1));
+    if (!rate) {
       std::cerr << "corrupt: --mix entry '" << entry
                 << "' is not class=rate\n";
       return false;
@@ -1116,7 +1146,7 @@ bool parse_mix(const std::string& spec, inject::DefectMix& mix) {
     bool known = false;
     for (trace::DefectClass cls : trace::kAllDefectClasses) {
       if (trace::to_string(cls) == name) {
-        mix.set_rate(cls, std::atof(entry.c_str() + eq + 1));
+        mix.set_rate(cls, *rate);
         known = true;
         break;
       }
@@ -1140,9 +1170,9 @@ int cmd_corrupt(const std::vector<std::string>& args) {
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out_dir = args[++i];
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = number_flag<std::uint64_t>(args, i);
     } else if (args[i] == "--rate" && i + 1 < args.size()) {
-      rate = std::atof(args[++i].c_str());
+      rate = number_flag<double>(args, i);
       have_rate = true;
     } else if (args[i] == "--mix" && i + 1 < args.size()) {
       mix_spec = args[++i];
@@ -1186,7 +1216,7 @@ int run_command(const std::vector<std::string>& args) {
       if (rest[i] == "--lenient") {
         lenient = true;
       } else if (rest[i] == "--scale" && i + 1 < rest.size()) {
-        scale = std::atof(rest[++i].c_str());
+        scale = number_flag<double>(rest, i);
       } else if (dir.empty() && !rest[i].starts_with("--")) {
         dir = rest[i];
       } else {
@@ -1341,6 +1371,9 @@ int main(int argc, char** argv) {
   int rc;
   try {
     rc = run_command(args);
+  } catch (const UsageError& e) {
+    std::cerr << e.what() << "\n";
+    rc = 2;
   } catch (const fa::io::IoError& e) {
     std::cerr << "i/o error: " << e.what() << "\n";
     rc = 3;
