@@ -1,6 +1,7 @@
 // Performance toolkit. Default mode times the pipeline stages (simulate,
 // classify) serial vs parallel, breaks the classify stage into
-// vectorize/kmeans sub-stages, times trace save/load CSV
+// vectorize/kmeans sub-stages (each the median of 5 runs at 1 thread),
+// times trace save/load CSV
 // vs columnar (with a record-identity and out-of-core-equivalence check),
 // checks that the parallel trace is identical to the serial one, times the
 // vectorized stats kernels against their scalar references (`simd` block),
@@ -22,12 +23,14 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -110,7 +113,9 @@ double time_kernel_ms(int iters, F&& f) {
 // Times each stats kernel over an L2-resident buffer, scalar reference vs
 // the dispatched entry point, in one binary (both are always compiled in).
 // The equivalence tests pin that the results agree; this block pins that
-// the vector path is actually faster.
+// the vector path is actually faster. sparse_dot_block runs at the
+// classifier's k-means shape instead: 32 centroids over 146 terms, rows of
+// 12-18 nonzeros, one iteration being a scan of kBlockRows rows.
 std::vector<KernelTiming> run_simd_report(std::size_t n, int iters) {
   Rng rng(17);
   std::vector<double> a(n), b(n), cdf(n);
@@ -129,6 +134,33 @@ std::vector<KernelTiming> run_simd_report(std::size_t n, int iters) {
     indices[e] = static_cast<std::uint32_t>(4 * e);
   }
   const double mu = stats::simd::scalar::sum(a) / static_cast<double>(n);
+  constexpr std::size_t kBlockTerms = 146, kBlockStride = 32, kBlockRows = 64;
+  std::vector<double> block(kBlockTerms * kBlockStride);
+  for (double& x : block) x = rng.uniform(0.0, 0.2);
+  std::vector<std::size_t> row_offsets = {0};
+  std::vector<double> row_values;
+  std::vector<std::uint32_t> row_indices;
+  for (std::size_t r = 0; r < kBlockRows; ++r) {
+    const auto nnz_r = static_cast<std::size_t>(rng.uniform_int(12, 18));
+    const std::size_t step = kBlockTerms / nnz_r;
+    for (std::size_t e = 0; e < nnz_r; ++e) {
+      row_values.push_back(rng.uniform(0.0, 1.0));
+      row_indices.push_back(static_cast<std::uint32_t>(e * step + r % step));
+    }
+    row_offsets.push_back(row_values.size());
+  }
+  std::vector<double> block_out(kBlockStride);
+  const auto scan_rows = [&](auto&& kernel) {
+    double total = 0.0;
+    for (std::size_t r = 0; r < kBlockRows; ++r) {
+      const std::size_t begin = row_offsets[r];
+      kernel(row_values.data() + begin, row_indices.data() + begin,
+             row_offsets[r + 1] - begin, block.data(), kBlockStride,
+             block_out.data());
+      total += block_out[r % kBlockStride];
+    }
+    return total;
+  };
 
   namespace sd = stats::simd;
   std::vector<KernelTiming> kernels;
@@ -160,6 +192,9 @@ std::vector<KernelTiming> run_simd_report(std::size_t n, int iters) {
               return sd::sparse_dot(values.data(), indices.data(), nnz,
                                     b.data());
             });
+  time_pair("sparse_dot_block",
+            [&] { return scan_rows(sd::scalar::sparse_dot_block); },
+            [&] { return scan_rows(sd::sparse_dot_block); });
   time_pair("ks_max_deviation",
             [&] { return sd::scalar::ks_max_deviation(cdf.data(), n); },
             [&] { return sd::ks_max_deviation(cdf.data(), n); });
@@ -212,9 +247,13 @@ int run_stage_report(double scale, const std::string& json_path) {
   const double classify_parallel = ms_since(t0);
   stages.push_back({"classify", classify_serial, classify_parallel});
 
-  // classify sub-stages on the crash-extraction shape: TF-IDF over every
-  // ticket description, then anchored 24-cluster k-means.
-  ThreadPool::set_default_thread_count(0);
+  // classify sub-stages on the crash-extraction shape: TF-IDF (fit and
+  // transform) over every ticket description, then anchored 24-cluster
+  // k-means. Each is the median of kSubStageRuns runs at 1 thread: a single
+  // reading, and any reading of a fine-grained parallel region, varies too
+  // much from run to run on a shared host to compare commits by.
+  constexpr int kSubStageRuns = 5;
+  ThreadPool::set_default_thread_count(1);
   std::vector<SubStageTiming> substages;
   stats::IterationStats kmeans_stats;
   {
@@ -223,20 +262,32 @@ int run_stage_report(double scale, const std::string& json_path) {
     for (const auto& t : parallel_db.tickets()) corpus.push_back(t.description);
     text::VectorizerOptions vec_options;
     vec_options.min_document_frequency = 3;
-    const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-    t0 = Clock::now();
-    const auto features = vectorizer.transform_all_sparse(corpus);
-    substages.push_back({"vectorize", ms_since(t0)});
+    const auto median_ms = [&](auto&& run) {
+      std::array<double, kSubStageRuns> ms{};
+      for (double& m : ms) {
+        t0 = Clock::now();
+        run();
+        m = ms_since(t0);
+      }
+      std::sort(ms.begin(), ms.end());
+      return ms[kSubStageRuns / 2];
+    };
+    std::optional<stats::SparseMatrix> features;
+    substages.push_back({"vectorize", median_ms([&] {
+                           features = text::Vectorizer::fit(corpus, vec_options)
+                                          .transform_all_sparse(corpus);
+                         })});
 
     stats::KMeansOptions km;
     km.k = 24;
     km.restarts = 3;
-    km.anchors.push_back(features.row_dense(0));
-    Rng rng(13);
-    t0 = Clock::now();
-    kmeans_stats = stats::kmeans(features, km, rng).stats;
-    substages.push_back({"kmeans", ms_since(t0)});
+    km.anchors.push_back(features->row_dense(0));
+    substages.push_back({"kmeans", median_ms([&] {
+                           Rng rng(13);
+                           kmeans_stats = stats::kmeans(*features, km, rng).stats;
+                         })});
   }
+  ThreadPool::set_default_thread_count(0);
 
   // Thread-scaling sweep: the two stages at 1/2/4/8 threads, with a
   // least-squares Amdahl fit (stats::amdahl_serial_fraction) per stage.

@@ -15,7 +15,11 @@ namespace {
 // Distances use ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 over each row's
 // nonzeros; the assignment step keeps Hamerly-style bounds and runs over
 // chunks whose boundaries depend only on n, with a serial in-order
-// reduction, so results are bit-identical at any thread count.
+// reduction, so results are bit-identical at any thread count. A full scan
+// takes the row's dots with every centroid in one simd::sparse_dot_block
+// call over a term-major copy of the centroids; that kernel is
+// bit-identical to simd::sparse_dot, which the single-centroid distances
+// (the Hamerly recompute and seeding) use.
 
 double dense_dot(const std::vector<double>& a, const std::vector<double>& b) {
   return simd::dot(a, b);
@@ -26,12 +30,18 @@ double squared_distance(const std::vector<double>& a,
   return simd::squared_distance(a, b);
 }
 
+// ||x_i - c||^2 from the row's dot with c; both distance paths share it.
+double expand_sq_dist(const SparseMatrix& points, std::size_t i, double dot,
+                      double centroid_norm_sq) {
+  const double d = points.row_norm_sq(i) - 2.0 * dot + centroid_norm_sq;
+  return d > 0.0 ? d : 0.0;  // the expansion can go negative by rounding
+}
+
 double sparse_sq_dist(const SparseMatrix& points, std::size_t i,
                       const std::vector<double>& centroid,
                       double centroid_norm_sq) {
-  const double d = points.row_norm_sq(i) -
-                   2.0 * points.dot_dense(i, centroid) + centroid_norm_sq;
-  return d > 0.0 ? d : 0.0;  // the expansion can go negative by rounding
+  return expand_sq_dist(points, i, points.dot_dense(i, centroid),
+                        centroid_norm_sq);
 }
 
 // Fixed-size chunking for parallel loops over points: boundaries are a
@@ -68,14 +78,15 @@ std::vector<std::vector<double>> seed_plus_plus_sparse(
         points.row_dense(static_cast<std::size_t>(rng.uniform_int(0, n - 1))));
   } else {
     // Anchors first; k-means++ continues conditioned on them. Anchors
-    // filling all k centroids leave nothing to draw, so the d2 pass is
-    // skipped.
+    // filling all k centroids leave nothing to draw, so no d2 pass runs.
     centroids = options.anchors;
-    if (static_cast<int>(centroids.size()) == k) return centroids;
-    for (const auto& c : centroids) lower_onto(c);
   }
+  // d2 is lowered onto each centroid once, when the next draw needs it.
+  std::size_t lowered = 0;
   while (static_cast<int>(centroids.size()) < k) {
-    lower_onto(centroids.back());
+    for (; lowered < centroids.size(); ++lowered) {
+      lower_onto(centroids[lowered]);
+    }
     double total = 0.0;
     for (double d : d2) total += d;
     if (total <= 0.0) {
@@ -117,8 +128,13 @@ KMeansResult run_once_sparse(const SparseMatrix& points,
   std::vector<double> centroid_norm_sq(k, 0.0);
   std::vector<double> half_sep(k, 0.0);
   std::vector<double> moved(k, 0.0);
-  std::vector<std::vector<double>> sums(k, std::vector<double>(dim, 0.0));
+  std::vector<double> sums(k * dim, 0.0);  // cluster c's sum at [c * dim]
   std::vector<std::size_t> counts(k, 0);
+  // The centroids term-major for the full scan: block[d * stride + c] is
+  // coordinate d of centroid c, each term's row padded with zeros to the
+  // kernel's multiple of 4.
+  const std::size_t stride = (k + 3) / 4 * 4;
+  std::vector<double> block(dim * stride, 0.0);
 
   // Prune accounting: per-chunk slots written only by the chunk's worker,
   // summed serially after the loop, so the totals are schedule-independent
@@ -133,6 +149,9 @@ KMeansResult run_once_sparse(const SparseMatrix& points,
     for (std::size_t c = 0; c < k; ++c) {
       centroid_norm_sq[c] =
           dense_dot(result.centroids[c], result.centroids[c]);
+      for (std::size_t d = 0; d < dim; ++d) {
+        block[d * stride + c] = result.centroids[c][d];
+      }
     }
     for (std::size_t c = 0; c < k; ++c) {
       double nearest = std::numeric_limits<double>::infinity();
@@ -147,6 +166,7 @@ KMeansResult run_once_sparse(const SparseMatrix& points,
     // Assignment step: chunk-parallel, every write lands in a per-point slot.
     parallel_chunks(n, [&](std::size_t b, std::size_t e) {
       std::uint64_t computed = 0, pruned = 0;
+      std::vector<double> dots(stride);
       for (std::size_t i = b; i < e; ++i) {
         const int a = result.assignment[i];
         if (a >= 0) {
@@ -166,13 +186,15 @@ KMeansResult run_once_sparse(const SparseMatrix& points,
           }
         }
         computed += k;
+        const auto row = points.row(i);
+        simd::sparse_dot_block(row.values.data(), row.indices.data(),
+                               row.size(), block.data(), stride, dots.data());
         double best_sq = std::numeric_limits<double>::infinity();
         double second_sq = std::numeric_limits<double>::infinity();
         int best_c = 0;
         for (std::size_t c = 0; c < k; ++c) {
           const double sq =
-              sparse_sq_dist(points, i, result.centroids[c],
-                             centroid_norm_sq[c]);
+              expand_sq_dist(points, i, dots[c], centroid_norm_sq[c]);
           if (sq < best_sq) {
             second_sq = best_sq;
             best_sq = sq;
@@ -191,17 +213,17 @@ KMeansResult run_once_sparse(const SparseMatrix& points,
     });
 
     // Serial in-order reduction: inertia plus cluster sums/counts. This is
-    // O(total nonzeros) — negligible next to the distance scans — and its
-    // fixed order is what makes the result thread-count independent.
+    // O(total nonzeros), and its fixed order is what makes the result
+    // thread-count independent.
     double inertia = 0.0;
-    for (auto& s : sums) std::fill(s.begin(), s.end(), 0.0);
+    std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
     for (std::size_t i = 0; i < n; ++i) {
       inertia += d_sq[i];
       const auto c = static_cast<std::size_t>(result.assignment[i]);
       ++counts[c];
       const auto row = points.row(i);
-      auto& sum = sums[c];
+      double* sum = sums.data() + c * dim;
       for (std::size_t e = 0; e < row.size(); ++e) {
         sum[row.indices[e]] += row.values[e];
       }
@@ -221,8 +243,9 @@ KMeansResult run_once_sparse(const SparseMatrix& points,
         moved_sq = squared_distance(centroid, reseeded);
         centroid = std::move(reseeded);
       } else {
+        const double* sum = sums.data() + c * dim;
         for (std::size_t d = 0; d < dim; ++d) {
-          const double mean = sums[c][d] / static_cast<double>(counts[c]);
+          const double mean = sum[d] / static_cast<double>(counts[c]);
           const double diff = mean - centroid[d];
           moved_sq += diff * diff;
           centroid[d] = mean;

@@ -77,7 +77,9 @@ struct KMeansOptions {
 // ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 expansion over only the row's
 // nonzeros, and the assignment step keeps Hamerly-style upper/lower bounds
 // so points whose nearest centroid cannot have changed skip the full
-// centroid scan. The assignment step is chunk-parallel with chunk
+// centroid scan; the scan takes the row's dots with all k centroids in one
+// kernel call over a term-major copy of the centroids, bit-identical to
+// one dot per centroid. The assignment step is chunk-parallel with chunk
 // boundaries fixed by n alone and a serial in-order reduction, so the
 // result is bit-identical at any thread count (see docs/PERF.md). Restarts
 // run serially.

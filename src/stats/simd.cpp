@@ -1,5 +1,7 @@
 #include "src/stats/simd.h"
 
+#include <cmath>
+
 // Compile-time dispatch: the CMake option FA_SIMD defines FA_SIMD_ENABLED
 // for this translation unit only (and, on x86-64, adds -mavx2 -mfma to this
 // file alone, so the rest of the library stays baseline-ISA). The selected
@@ -60,6 +62,19 @@ double sparse_dot(const double* values, const std::uint32_t* indices,
   double s = 0.0;
   for (std::size_t e = 0; e < n; ++e) s += values[e] * dense[indices[e]];
   return s;
+}
+
+// Column c takes the row's terms in sparse_dot's order, written the same
+// way (`+= a * b`), so the compiler contracts both alike.
+void sparse_dot_block(const double* values, const std::uint32_t* indices,
+                      std::size_t n, const double* block, std::size_t stride,
+                      double* out) {
+  for (std::size_t c = 0; c < stride; ++c) out[c] = 0.0;
+  for (std::size_t e = 0; e < n; ++e) {
+    const double v = values[e];
+    const double* term = block + std::size_t{indices[e]} * stride;
+    for (std::size_t c = 0; c < stride; ++c) out[c] += v * term[c];
+  }
 }
 
 double ks_max_deviation(const double* f, std::size_t n) {
@@ -252,8 +267,50 @@ double sparse_dot(const double* values, const std::uint32_t* indices,
     acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(values + e), gathered, acc0);
   }
   double s = hadd(_mm256_add_pd(acc0, acc1));
-  for (; e < n; ++e) s += values[e] * dense[indices[e]];
+  for (; e < n; ++e) s = std::fma(values[e], dense[indices[e]], s);
   return s;
+}
+
+void sparse_dot_block(const double* values, const std::uint32_t* indices,
+                      std::size_t n, const double* block, std::size_t stride,
+                      double* out) {
+  // sparse_dot's accumulation order, four columns per vector: nonzero
+  // e < 4 * floor(n / 4) feeds slot e % 8 (sparse_dot's acc0 lanes are
+  // slots 0-3, acc1's are 4-7), the slots combine as hadd(acc0 + acc1)
+  // does, and the tail follows in order by FMA.
+  for (std::size_t c = 0; c < stride; c += 4) {
+    const double* columns = block + c;
+    const auto term = [&](std::size_t e, __m256d acc) {
+      return _mm256_fmadd_pd(
+          _mm256_set1_pd(values[e]),
+          _mm256_loadu_pd(columns + std::size_t{indices[e]} * stride), acc);
+    };
+    __m256d s0 = _mm256_setzero_pd(), s1 = s0, s2 = s0, s3 = s0, s4 = s0,
+            s5 = s0, s6 = s0, s7 = s0;
+    std::size_t e = 0;
+    for (; e + 8 <= n; e += 8) {
+      s0 = term(e, s0);
+      s1 = term(e + 1, s1);
+      s2 = term(e + 2, s2);
+      s3 = term(e + 3, s3);
+      s4 = term(e + 4, s4);
+      s5 = term(e + 5, s5);
+      s6 = term(e + 6, s6);
+      s7 = term(e + 7, s7);
+    }
+    if (e + 4 <= n) {
+      s0 = term(e, s0);
+      s1 = term(e + 1, s1);
+      s2 = term(e + 2, s2);
+      s3 = term(e + 3, s3);
+      e += 4;
+    }
+    __m256d acc = _mm256_add_pd(
+        _mm256_add_pd(_mm256_add_pd(s0, s4), _mm256_add_pd(s1, s5)),
+        _mm256_add_pd(_mm256_add_pd(s2, s6), _mm256_add_pd(s3, s7)));
+    for (; e < n; ++e) acc = term(e, acc);
+    _mm256_storeu_pd(out + c, acc);
+  }
 }
 
 double ks_max_deviation(const double* f, std::size_t n) {
@@ -430,8 +487,33 @@ double sparse_dot(const double* values, const std::uint32_t* indices,
     acc = vfmaq_f64(acc, vld1q_f64(values + e), vld1q_f64(g));
   }
   double s = hadd(acc);
-  for (; e < n; ++e) s += values[e] * dense[indices[e]];
+  for (; e < n; ++e) s = std::fma(values[e], dense[indices[e]], s);
   return s;
+}
+
+void sparse_dot_block(const double* values, const std::uint32_t* indices,
+                      std::size_t n, const double* block, std::size_t stride,
+                      double* out) {
+  // sparse_dot's accumulation order, two columns per vector: even nonzeros
+  // of the paired body feed one slot, odd ones the other (sparse_dot's
+  // lanes 0 and 1), the slots add as hadd does, and the tail follows by FMA.
+  for (std::size_t c = 0; c < stride; c += 2) {
+    const double* columns = block + c;
+    const auto term = [&](std::size_t e, float64x2_t acc) {
+      return vfmaq_f64(acc, vdupq_n_f64(values[e]),
+                       vld1q_f64(columns + std::size_t{indices[e]} * stride));
+    };
+    float64x2_t even = vdupq_n_f64(0.0);
+    float64x2_t odd = vdupq_n_f64(0.0);
+    std::size_t e = 0;
+    for (; e + 2 <= n; e += 2) {
+      even = term(e, even);
+      odd = term(e + 1, odd);
+    }
+    float64x2_t acc = vaddq_f64(even, odd);
+    for (; e < n; ++e) acc = term(e, acc);
+    vst1q_f64(out + c, acc);
+  }
 }
 
 double ks_max_deviation(const double* f, std::size_t n) {
@@ -482,6 +564,11 @@ double squared_distance(std::span<const double> a,
 double sparse_dot(const double* values, const std::uint32_t* indices,
                   std::size_t n, const double* dense) {
   return scalar::sparse_dot(values, indices, n, dense);
+}
+void sparse_dot_block(const double* values, const std::uint32_t* indices,
+                      std::size_t n, const double* block, std::size_t stride,
+                      double* out) {
+  scalar::sparse_dot_block(values, indices, n, block, stride, out);
 }
 double ks_max_deviation(const double* f, std::size_t n) {
   return scalar::ks_max_deviation(f, n);

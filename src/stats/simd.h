@@ -15,6 +15,9 @@
 //    the scalar reference to within 1e-12 relative error on well-scaled
 //    inputs, and propagate NaN/inf the same way (every input element
 //    feeds the accumulator in both paths);
+//  - sparse_dot_block is bit-identical to sparse_dot of the same path,
+//    column by column: k-means computes some distances with one and some
+//    with the other, and its Hamerly bounds compare them;
 //  - none of the kernels touch shared state, so results are independent
 //    of the thread count at every call site.
 #pragma once
@@ -43,6 +46,14 @@ double squared_distance(std::span<const double> a, std::span<const double> b);
 // `indices` must be in range of `dense`; AVX2 uses hardware gathers.
 double sparse_dot(const double* values, const std::uint32_t* indices,
                   std::size_t n, const double* dense);
+// Sparse row . every column of a term-major block: for each c < stride,
+// out[c] = sum of values[e] * block[indices[e] * stride + c]. `stride` is a
+// multiple of 4 and `block` holds (max index + 1) x stride values. Each
+// column accumulates in the order its path's sparse_dot uses, so out[c] is
+// bit-identical to sparse_dot over column c (NaN payloads aside).
+void sparse_dot_block(const double* values, const std::uint32_t* indices,
+                      std::size_t n, const double* block, std::size_t stride,
+                      double* out);
 // Kolmogorov-Smirnov deviation scan over sorted-model CDF values f[i]:
 // max over i of max(|f[i] - i/n|, |(i+1)/n - f[i]|). Exact (max only), so
 // bit-identical across paths.
@@ -60,6 +71,9 @@ double dot(std::span<const double> a, std::span<const double> b);
 double squared_distance(std::span<const double> a, std::span<const double> b);
 double sparse_dot(const double* values, const std::uint32_t* indices,
                   std::size_t n, const double* dense);
+void sparse_dot_block(const double* values, const std::uint32_t* indices,
+                      std::size_t n, const double* block, std::size_t stride,
+                      double* out);
 double ks_max_deviation(const double* f, std::size_t n);
 }  // namespace scalar
 

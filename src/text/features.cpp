@@ -24,10 +24,15 @@ Vectorizer Vectorizer::fit(std::span<const std::string> documents,
     int df = 0;
     std::size_t last_doc = std::numeric_limits<std::size_t>::max();
   };
-  std::unordered_map<std::string, WordStat> doc_freq;
+  TermMap<WordStat> doc_freq;
+  std::string lowered;
+  std::vector<std::string_view> words;
   for (std::size_t doc = 0; doc < documents.size(); ++doc) {
-    for (auto& w : fa::tokenize_words(documents[doc])) {
-      WordStat& stat = doc_freq[std::move(w)];
+    fa::tokenize_words_into(documents[doc], lowered, words);
+    for (std::string_view w : words) {
+      auto it = doc_freq.find(w);
+      if (it == doc_freq.end()) it = doc_freq.emplace(w, WordStat{}).first;
+      WordStat& stat = it->second;
       if (stat.last_doc != doc) {
         stat.last_doc = doc;
         ++stat.df;
@@ -60,8 +65,12 @@ Vectorizer Vectorizer::fit(std::span<const std::string> documents,
 
 std::vector<std::pair<std::uint32_t, double>> Vectorizer::transform_sparse(
     const std::string& document) const {
+  // Per-thread scratch: transform_all_sparse calls this from every worker.
+  thread_local std::string lowered;
+  thread_local std::vector<std::string_view> words;
+  fa::tokenize_words_into(document, lowered, words);
   std::vector<std::pair<std::uint32_t, double>> entries;
-  for (const std::string& w : fa::tokenize_words(document)) {
+  for (std::string_view w : words) {
     const auto it = index_.find(w);
     if (it != index_.end()) {
       entries.emplace_back(static_cast<std::uint32_t>(it->second), 1.0);

@@ -3,8 +3,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -43,8 +45,18 @@ class Vectorizer {
  private:
   Vectorizer() = default;
 
+  // Transparent hash: terms are looked up by the tokenizer's string_views.
+  struct TermHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  template <typename V>
+  using TermMap = std::unordered_map<std::string, V, TermHash, std::equal_to<>>;
+
   std::vector<std::string> vocabulary_;
-  std::unordered_map<std::string, std::size_t> index_;
+  TermMap<std::size_t> index_;
   std::vector<double> idf_;
 };
 

@@ -4,6 +4,18 @@
 #include <cstdio>
 
 namespace fa {
+namespace {
+
+char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+// Letters and digits of already-lowered text.
+bool is_lower_alnum(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9');
+}
+
+}  // namespace
 
 std::vector<std::string> split(std::string_view s, char delim) {
   std::vector<std::string> out;
@@ -29,18 +41,17 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  std::string out;
+  to_lower_into(s, out);
   return out;
 }
 
 void to_lower_into(std::string_view s, std::string& out) {
   out.resize(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    out[i] =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(s[i])));
-  }
+  // Through a local pointer: a char store via out[i] could alias out's own
+  // members, which would keep the compiler from vectorizing the loop.
+  char* dst = out.data();
+  for (std::size_t i = 0; i < s.size(); ++i) dst[i] = ascii_lower(s[i]);
 }
 
 std::string trim(std::string_view s) {
@@ -55,19 +66,24 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 }
 
 std::vector<std::string> tokenize_words(std::string_view text) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char ch : text) {
-    const auto c = static_cast<unsigned char>(ch);
-    if (std::isalnum(c)) {
-      current += static_cast<char>(std::tolower(c));
-    } else if (!current.empty()) {
-      tokens.push_back(std::move(current));
-      current.clear();
-    }
+  std::string lowered;
+  std::vector<std::string_view> words;
+  tokenize_words_into(text, lowered, words);
+  return {words.begin(), words.end()};
+}
+
+void tokenize_words_into(std::string_view text, std::string& lowered,
+                         std::vector<std::string_view>& words) {
+  to_lower_into(text, lowered);
+  words.clear();
+  const std::string_view s = lowered;
+  std::size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && !is_lower_alnum(s[i])) ++i;
+    const std::size_t begin = i;
+    while (i < s.size() && is_lower_alnum(s[i])) ++i;
+    if (i > begin) words.push_back(s.substr(begin, i - begin));
   }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
 }
 
 std::string format_double(double v, int precision) {

@@ -2,12 +2,14 @@
 // kernel against its scalar reference on random and adversarial inputs
 // (remainder lanes, empty inputs, NaN/inf tails), bit-identical for the
 // order-preserving max scan and within 1e-12 relative for the reassociating
-// reductions — and independent of the worker-thread count. Also covers the
+// reductions — and independent of the worker-thread count — plus the
+// k-means block kernel bit for bit against sparse_dot. Also covers the
 // batch log_likelihood overrides of the distribution families and the
 // Amdahl serial-fraction fit.
 #include "src/stats/simd.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -148,6 +150,84 @@ TEST(Simd, SparseDotMatchesScalar) {
                                   dense.data()),
                  simd::scalar::sparse_dot(values.data(), indices.data(), nnz,
                                           dense.data()));
+  }
+}
+
+// Bit equality, except that any NaN matches any NaN: IEEE 754 leaves open
+// which NaN operand's payload an operation returns, and compilers swap the
+// operands of commutative adds freely.
+bool same_bits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// k-means mixes the two kernels: a full scan takes every centroid's dot
+// from sparse_dot_block, the Hamerly recompute one dot from sparse_dot, and
+// the bounds compare the two. So the block kernel must reproduce
+// sparse_dot's accumulation order exactly, in each path: rows of 0-19
+// nonzeros cover every lane remainder of the 8-wide body, the column
+// counts every padding of the 4-wide blocks, and the magnitudes span 16
+// decades so that any other order rounds differently.
+TEST(Simd, SparseDotBlockMatchesSparseDotBitForBit) {
+  constexpr std::size_t kDim = 41;
+  constexpr auto kLastTerm = static_cast<std::int64_t>(kDim) - 1;
+  Rng rng(2024);
+  const auto wide = [&rng] {
+    const double mag = std::pow(10.0, rng.uniform(-8.0, 8.0));
+    return rng.uniform() < 0.5 ? -mag : mag;
+  };
+  for (const std::size_t k : {1u, 3u, 4u, 5u, 24u, 32u}) {
+    const std::size_t stride = (k + 3) / 4 * 4;
+    std::vector<std::vector<double>> centroids(k, std::vector<double>(kDim));
+    for (auto& centroid : centroids) {
+      for (double& x : centroid) x = rng.uniform() < 0.5 ? wide() : 0.0;
+    }
+    centroids[0][3] = kNaN;
+    centroids[k - 1][5] = kInf;
+    centroids[k / 2][7] = -kInf;
+    centroids[k - 1][9] = -0.0;
+    std::vector<double> block(kDim * stride, 0.0);
+    for (std::size_t c = 0; c < k; ++c) {
+      for (std::size_t d = 0; d < kDim; ++d) {
+        block[d * stride + c] = centroids[c][d];
+      }
+    }
+    for (std::size_t nnz = 0; nnz < 20; ++nnz) {
+      for (int variant = 0; variant < 4; ++variant) {
+        SCOPED_TRACE(testing::Message() << "k=" << k << " nnz=" << nnz
+                                        << " variant=" << variant);
+        std::vector<double> values(nnz);
+        std::vector<std::uint32_t> indices(nnz);
+        for (std::size_t e = 0; e < nnz; ++e) {
+          values[e] = variant == 0 ? rng.uniform(0.0, 1.0) : wide();
+          // Mostly finite terms, so most sums stay comparable; variants 2
+          // and 3 may land on the non-finite centroid coordinates.
+          indices[e] = static_cast<std::uint32_t>(
+              rng.uniform_int(variant >= 2 ? 0 : 10, kLastTerm));
+        }
+        if (variant == 3 && nnz > 0) {
+          values[nnz / 3] = kNaN;
+          values[nnz - 1] = nnz % 2 == 0 ? kInf : -kInf;
+        }
+        std::vector<double> got(stride), scalar_got(stride);
+        simd::sparse_dot_block(values.data(), indices.data(), nnz,
+                               block.data(), stride, got.data());
+        simd::scalar::sparse_dot_block(values.data(), indices.data(), nnz,
+                                       block.data(), stride,
+                                       scalar_got.data());
+        for (std::size_t c = 0; c < k; ++c) {
+          const double want = simd::sparse_dot(values.data(), indices.data(),
+                                               nnz, centroids[c].data());
+          const double scalar_want = simd::scalar::sparse_dot(
+              values.data(), indices.data(), nnz, centroids[c].data());
+          EXPECT_TRUE(same_bits(got[c], want))
+              << "column " << c << ": " << got[c] << " vs " << want;
+          EXPECT_TRUE(same_bits(scalar_got[c], scalar_want))
+              << "column " << c << ": " << scalar_got[c] << " vs "
+              << scalar_want;
+        }
+      }
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // oracle exactly — same assignments, same iteration count — at any thread
 // count.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
@@ -219,6 +221,55 @@ TEST(SparseClassification, ClusteredExtractionThreadCountInvariant) {
     EXPECT_DOUBLE_EQ(run.precision, reference.precision)
         << threads << " threads";
     EXPECT_DOUBLE_EQ(run.recall, reference.recall) << threads << " threads";
+  }
+  ThreadPool::set_default_thread_count(0);
+}
+
+// FNV-1a over the assignments' 32-bit little-endian bytes.
+std::uint64_t assignment_digest(const std::vector<int>& assignment) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const int a : assignment) {
+    const auto v = static_cast<std::uint32_t>(a);
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// The paper's classifier shape — description + resolution of every
+// lexicon-extracted crash ticket, min document frequency 2, 32 clusters, 6
+// k-means++ restarts — pinned to constants recorded from the
+// one-dot-per-centroid scan that preceded the block kernel, in an AVX2 and
+// in a FA_SIMD=OFF build (both gave these values). The other k-means tests
+// compare two paths of one build; this one catches a change that moves the
+// clustering the same way at every thread count.
+TEST(SparseKMeans, ClassifierCorpusResultPinned) {
+  const auto& db = fa::testing::small_simulated_db();
+  std::vector<std::string> corpus;
+  for (const trace::Ticket* t : analysis::extract_crash_tickets(db)) {
+    corpus.push_back(t->description + " " + t->resolution);
+  }
+  text::VectorizerOptions vec_options;
+  vec_options.min_document_frequency = 2;
+  const auto features =
+      text::Vectorizer::fit(corpus, vec_options).transform_all_sparse(corpus);
+  stats::KMeansOptions km;
+  km.k = 32;
+  km.restarts = 6;
+  for (const std::size_t threads : {1u, 8u}) {
+    ThreadPool::set_default_thread_count(threads);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Rng rng(7);
+    const auto run = stats::kmeans(features, km, rng);
+    EXPECT_EQ(run.stats.iterations_per_restart,
+              (std::vector<int>{9, 13, 11, 12, 10, 9}));
+    EXPECT_EQ(run.stats.distances_computed, 526708u);
+    EXPECT_EQ(run.stats.distances_pruned, 277264u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(run.inertia),
+              0x4067591a9be62867ULL);  // 186.78449816658687
+    EXPECT_EQ(assignment_digest(run.assignment), 0xf8f5e70d3d6fe6ULL);
   }
   ThreadPool::set_default_thread_count(0);
 }

@@ -35,6 +35,8 @@ TEST(Strings, JoinInvertsSplit) {
 TEST(Strings, ToLower) {
   EXPECT_EQ(to_lower("Server UNREACHABLE"), "server unreachable");
   EXPECT_EQ(to_lower("abc123"), "abc123");
+  // ASCII only, as in the "C" locale: bytes outside A-Z pass through.
+  EXPECT_EQ(to_lower("@[`{ \xC3\x89T\xFF"), "@[`{ \xC3\x89t\xFF");
 }
 
 TEST(Strings, Trim) {
@@ -59,6 +61,20 @@ TEST(Strings, TokenizeWords) {
 TEST(Strings, TokenizeEmptyAndPunctuationOnly) {
   EXPECT_TRUE(tokenize_words("").empty());
   EXPECT_TRUE(tokenize_words("--- !!! ...").empty());
+  // Non-ASCII bytes separate words, as std::isalnum does in the "C" locale.
+  EXPECT_EQ(tokenize_words("Caf\xC3\xA9 OK_9"),
+            (std::vector<std::string>{"caf", "ok", "9"}));
+}
+
+TEST(Strings, TokenizeWordsIntoReusesBuffers) {
+  std::string lowered;
+  std::vector<std::string_view> words;
+  tokenize_words_into("Disk FAILED, disk replaced", lowered, words);
+  EXPECT_EQ(words, (std::vector<std::string_view>{"disk", "failed", "disk",
+                                                  "replaced"}));
+  tokenize_words_into("host-3", lowered, words);
+  EXPECT_EQ(lowered, "host-3");
+  EXPECT_EQ(words, (std::vector<std::string_view>{"host", "3"}));
 }
 
 TEST(Strings, FormatDouble) {
