@@ -7,7 +7,9 @@
 // vectorized stats kernels against their scalar references (`simd` block),
 // sweeps the stages over 1/2/4/8 threads with an Amdahl serial-fraction
 // fit (`thread_scaling` block; meaningless on a 1-core host, which sets
-// `single_core_warning` and warns on stderr), and writes the results to
+// `single_core_warning` and warns on stderr), times online detection (the
+// full simulate -> score path, and emit_stream -> OnlineDetector alone as
+// the median of 5 runs at 1 thread; `detect` block), and writes the results to
 // BENCH_perf.json (machine-readable; path override:
 // --json PATH; fleet size: --scale F, default 0.3). --stream S instead
 // runs the out-of-core path end to end — streaming simulate -> columnar
@@ -38,12 +40,14 @@
 
 #include "src/analysis/classification.h"
 #include "src/analysis/out_of_core.h"
+#include "src/detect/detector.h"
 #include "src/detect/serve.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/analysis/pipeline.h"
 #include "src/analysis/recurrence.h"
 #include "src/sim/simulator.h"
+#include "src/sim/stream.h"
 #include "src/trace/columnar_io.h"
 #include "src/trace/csv_io.h"
 #include "src/trace/trace_writer.h"
@@ -63,6 +67,22 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+// Median wall time of kMedianRuns calls of `run`, in ms: a single reading,
+// and any reading of a fine-grained parallel region, varies too much from
+// run to run on a shared host to compare commits by.
+constexpr int kMedianRuns = 5;
+template <typename Run>
+double median_ms(Run&& run) {
+  std::array<double, kMedianRuns> ms{};
+  for (double& m : ms) {
+    const Clock::time_point t0 = Clock::now();
+    run();
+    m = ms_since(t0);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[kMedianRuns / 2];
 }
 
 // A cheap structural checksum of a trace: enough to certify that two runs
@@ -249,10 +269,7 @@ int run_stage_report(double scale, const std::string& json_path) {
 
   // classify sub-stages on the crash-extraction shape: TF-IDF (fit and
   // transform) over every ticket description, then anchored 24-cluster
-  // k-means. Each is the median of kSubStageRuns runs at 1 thread: a single
-  // reading, and any reading of a fine-grained parallel region, varies too
-  // much from run to run on a shared host to compare commits by.
-  constexpr int kSubStageRuns = 5;
+  // k-means. Each is the median of kMedianRuns runs at 1 thread.
   ThreadPool::set_default_thread_count(1);
   std::vector<SubStageTiming> substages;
   stats::IterationStats kmeans_stats;
@@ -262,16 +279,6 @@ int run_stage_report(double scale, const std::string& json_path) {
     for (const auto& t : parallel_db.tickets()) corpus.push_back(t.description);
     text::VectorizerOptions vec_options;
     vec_options.min_document_frequency = 3;
-    const auto median_ms = [&](auto&& run) {
-      std::array<double, kSubStageRuns> ms{};
-      for (double& m : ms) {
-        t0 = Clock::now();
-        run();
-        m = ms_since(t0);
-      }
-      std::sort(ms.begin(), ms.end());
-      return ms[kSubStageRuns / 2];
-    };
     std::optional<stats::SparseMatrix> features;
     substages.push_back({"vectorize", median_ms([&] {
                            features = text::Vectorizer::fit(corpus, vec_options)
@@ -355,9 +362,11 @@ int run_stage_report(double scale, const std::string& json_path) {
   // streaming detector and score the alerts event-level. The fleet is
   // pinned to the calibrated scale-0.5/seed-1 scenario rather than
   // inheriting --scale: below ~0.25 the sparse strata miss the detector's
-  // arming floor and the scores stop being about detection quality. The
-  // timing measures the full path (simulate -> emit -> detect -> score);
-  // throughput is stream events per second of that wall time.
+  // arming floor and the scores stop being about detection quality.
+  // `pipeline_ms` times the full path (simulate -> emit -> detect ->
+  // score); `emit_detect_ms` times emit_stream into an OnlineDetector
+  // alone, over the trace simulated once, as the median of kMedianRuns
+  // runs at 1 thread, and throughput is stream events per second of it.
   constexpr double kDetectScale = 0.5;
   detect::TenantSpec detect_spec;
   detect_spec.name = "bench";
@@ -368,10 +377,20 @@ int run_stage_report(double scale, const std::string& json_path) {
   t0 = Clock::now();
   const detect::TenantResult detect_result = detect::serve_tenant(detect_spec);
   const double detect_ms = ms_since(t0);
+  const trace::TraceDatabase detect_db = sim::simulate(detect_spec.config);
+  detect::DetectorOptions timed_options = detect_spec.detector;
+  timed_options.tenant = "bench-emit-detect";
+  ThreadPool::set_default_thread_count(1);
+  const double emit_detect_ms = median_ms([&] {
+    detect::OnlineDetector detector(timed_options);
+    sim::emit_stream(detect_db, detect_spec.scenario, detector);
+  });
+  ThreadPool::set_default_thread_count(0);
   const double detect_events_per_sec =
-      detect_ms > 0.0 ? 1000.0 * static_cast<double>(detect_result.report.events) /
-                            detect_ms
-                      : 0.0;
+      emit_detect_ms > 0.0
+          ? 1000.0 * static_cast<double>(detect_result.report.events) /
+                emit_detect_ms
+          : 0.0;
   const bool detect_ok = detect_result.report.events > 0;
 
   FILE* out = std::fopen(json_path.c_str(), "w");
@@ -493,6 +512,7 @@ int run_stage_report(double scale, const std::string& json_path) {
   std::fprintf(out, "    \"median_latency_days\": %.2f,\n",
                to_days(detect_result.score.median_latency()));
   std::fprintf(out, "    \"pipeline_ms\": %.3f,\n", detect_ms);
+  std::fprintf(out, "    \"emit_detect_ms\": %.3f,\n", emit_detect_ms);
   std::fprintf(out, "    \"events_per_sec\": %.0f\n", detect_events_per_sec);
   std::fprintf(out, "  }\n");
   std::fprintf(out, "}\n");
@@ -535,10 +555,12 @@ int run_stage_report(double scale, const std::string& json_path) {
               io_identical ? "yes" : "NO",
               out_of_core_matches ? "yes" : "NO");
   std::printf(
-      "detect:   %llu events in %.1f ms (%.0f events/s), %zu alerts, "
-      "precision %.2f, recall %.2f, median latency %.1f d\n",
-      static_cast<unsigned long long>(detect_result.report.events), detect_ms,
-      detect_events_per_sec, detect_result.report.alerts.size(),
+      "detect:   %llu events, emit+detect %.1f ms (%.0f events/s), full "
+      "path %.1f ms, %zu alerts, precision %.2f, recall %.2f, median "
+      "latency %.1f d\n",
+      static_cast<unsigned long long>(detect_result.report.events),
+      emit_detect_ms, detect_events_per_sec, detect_ms,
+      detect_result.report.alerts.size(),
       detect_result.score.precision(), detect_result.score.recall(),
       to_days(detect_result.score.median_latency()));
   std::printf("wrote %s\n", json_path.c_str());

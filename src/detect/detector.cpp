@@ -25,6 +25,21 @@ std::string channel_token(std::string_view raw) {
   return token;
 }
 
+// `stats` with `zeros` more recordings of 0.0. Exact against recording
+// them in stream order: the min, max and bucket counts do not depend on
+// order, and adding +0.0 leaves a sum of non-negative lags unchanged.
+obs::BucketStats with_zeros(obs::BucketStats stats, std::uint64_t zeros) {
+  if (zeros == 0) return stats;
+  std::size_t b = 0;
+  while (b < stats.bounds.size() && 0.0 > stats.bounds[b]) ++b;
+  if (stats.buckets.empty()) stats.buckets.assign(stats.bounds.size() + 1, 0);
+  stats.buckets[b] += zeros;
+  stats.min = stats.count == 0 ? 0.0 : std::min(stats.min, 0.0);
+  stats.max = stats.count == 0 ? 0.0 : std::max(stats.max, 0.0);
+  stats.count += zeros;
+  return stats;
+}
+
 double sample_stddev(const std::vector<double>& xs) {
   if (xs.size() < 2) return 0.0;
   double mean = 0.0;
@@ -127,6 +142,59 @@ std::string DetectorReport::to_string() const {
   return out;
 }
 
+std::size_t OnlineDetector::IdTimes::home(std::int32_t key) const {
+  // Fibonacci hashing: the top bits of the golden-ratio product spread
+  // consecutive ids over the whole table.
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key)) *
+       0x9E3779B97F4A7C15ULL) >>
+      (64 - bits_));
+}
+
+std::size_t OnlineDetector::IdTimes::find(std::int32_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(key);
+  while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void OnlineDetector::IdTimes::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  bits_ = old.empty() ? 4 : bits_ + 1;
+  slots_.assign(std::size_t{1} << bits_, Slot{});
+  for (const Slot& slot : old) {
+    if (slot.used) slots_[find(slot.key)] = slot;
+  }
+}
+
+std::pair<TimePoint*, bool> OnlineDetector::IdTimes::try_emplace(
+    std::int32_t key, TimePoint value) {
+  if (4 * (size_ + 1) > slots_.size()) grow();
+  Slot& slot = slots_[find(key)];
+  if (slot.used) return {&slot.value, false};
+  slot = Slot{value, key, true};
+  ++size_;
+  return {&slot.value, true};
+}
+
+void OnlineDetector::IdTimes::erase(std::int32_t key, TimePoint value) {
+  if (slots_.empty()) return;
+  std::size_t hole = find(key);
+  if (!slots_[hole].used || slots_[hole].value != value) return;
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home lies cyclically in (hole, j], where it already sits on
+  // its probe path.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
+    if (((j - home(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].used = false;
+  --size_;
+}
+
 OnlineDetector::OnlineDetector(DetectorOptions options)
     : options_(std::move(options)) {
   require(options_.window > 0, "OnlineDetector: window must be positive");
@@ -188,9 +256,12 @@ void OnlineDetector::on_event(const trace::StreamEvent& event) {
   // the newest arrival seen so far did this event land? Zero on an ordered
   // stream.
   const bool late_arrival = event.at < arrival_high_;
-  event_lag_.record(
-      late_arrival ? static_cast<double>(arrival_high_ - event.at) : 0.0);
-  arrival_high_ = std::max(arrival_high_, event.at);
+  if (late_arrival) {
+    event_lag_.record(static_cast<double>(arrival_high_ - event.at));
+  } else {
+    ++event_lag_zeros_;
+    arrival_high_ = event.at;
+  }
   switch (options_.out_of_order) {
     case OutOfOrderPolicy::kReject:
       require(event.at >= watermark_,
@@ -230,25 +301,27 @@ void OnlineDetector::ingest(const trace::StreamEvent& event) {
   // Staleness at processing time: the arrival frontier minus the event's
   // own timestamp — the reorder buffer's hold time under kBuffer, zero on
   // the direct path.
-  watermark_lag_.record(
-      event.at < arrival_high_
-          ? static_cast<double>(arrival_high_ - event.at)
-          : 0.0);
+  if (event.at < arrival_high_) {
+    watermark_lag_.record(static_cast<double>(arrival_high_ - event.at));
+  } else {
+    ++watermark_lag_zeros_;
+  }
   advance_to(event.at);
   watermark_ = std::max(watermark_, event.at);
   ++report_.events;
 
   if (event.kind == trace::StreamEventKind::kTicket) {
-    const trace::Ticket& ticket = event.ticket;
+    const trace::StreamTicket& ticket = event.ticket;
     ++report_.tickets;
 
     // Duplicate ticket ids within the sliding window are retransmissions.
     while (!window_id_queue_.empty() &&
            window_id_queue_.front().first + options_.window <= event.at) {
-      window_ids_.erase(window_id_queue_.front().second);
+      const auto [entered, id] = window_id_queue_.front();
       window_id_queue_.pop_front();
+      window_ids_.erase(id, entered);
     }
-    if (!window_ids_.insert(ticket.id.value).second) {
+    if (!window_ids_.try_emplace(ticket.id.value, event.at).second) {
       ++report_.duplicates_dropped;
       return;
     }
@@ -257,13 +330,13 @@ void OnlineDetector::ingest(const trace::StreamEvent& event) {
     if (!ticket.is_crash) return;
     ++report_.crash_tickets;
 
-    auto [it, first_crash] =
+    const auto [last, first_crash] =
         last_crash_.try_emplace(ticket.server.value, event.at);
     if (!first_crash) {
-      if (event.at - it->second <= options_.recurrence_window) {
+      if (event.at - *last <= options_.recurrence_window) {
         ++report_.recurrent_crashes;
       }
-      it->second = event.at;
+      *last = event.at;
     }
 
     // Is this the incident's first crash ticket (within recent memory)?
@@ -272,14 +345,11 @@ void OnlineDetector::ingest(const trace::StreamEvent& event) {
            incident_queue_.front().first + options_.window <= event.at) {
       const auto [seen_at, id] = incident_queue_.front();
       incident_queue_.pop_front();
-      const auto it = incident_last_seen_.find(id);
-      if (it != incident_last_seen_.end() && it->second == seen_at) {
-        incident_last_seen_.erase(it);
-      }
+      incident_last_seen_.erase(id, seen_at);
     }
     const auto [seen, new_incident] =
         incident_last_seen_.try_emplace(ticket.incident.value, event.at);
-    if (!new_incident) seen->second = event.at;
+    if (!new_incident) *seen = event.at;
     incident_queue_.emplace_back(event.at, ticket.incident.value);
 
     const std::size_t channels[] = {
@@ -528,6 +598,9 @@ void OnlineDetector::finish(TimePoint stream_end) {
     u.alerts = ch.alerts;
     report_.usage.push_back(std::move(u));
   }
+  event_lag_ = with_zeros(std::move(event_lag_), event_lag_zeros_);
+  watermark_lag_ = with_zeros(std::move(watermark_lag_), watermark_lag_zeros_);
+  event_lag_zeros_ = watermark_lag_zeros_ = 0;
   report_.event_lag = event_lag_;
   report_.watermark_lag = watermark_lag_;
   report_.detection_lag = detection_lag_;
@@ -580,8 +653,8 @@ OnlineDetector::LiveStats OnlineDetector::live_stats() const {
   s.recurrent_crashes = report_.recurrent_crashes;
   s.alerts = report_.alerts.size();
   s.ooo_pending = pending_.size();
-  s.event_lag = event_lag_;
-  s.watermark_lag = watermark_lag_;
+  s.event_lag = with_zeros(event_lag_, event_lag_zeros_);
+  s.watermark_lag = with_zeros(watermark_lag_, watermark_lag_zeros_);
   s.detection_lag = detection_lag_;
   s.ooo_occupancy = ooo_occupancy_;
   s.strata.reserve(rates_.size());

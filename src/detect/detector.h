@@ -20,7 +20,7 @@
 //     covariates (fleet-mean CPU and memory utilization per tick);
 //   * online recurrence tracking: the fraction of crashes that strike a
 //     server already hit within the recurrence window, via a per-server
-//     last-crash map (bounded by distinct crashed servers).
+//     last-crash table (bounded by distinct crashed servers).
 //
 // Robustness policies (all deterministic, all counted in the report):
 // duplicate ticket ids within the sliding window are dropped; out-of-order
@@ -35,8 +35,7 @@
 #include <functional>
 #include <queue>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -270,6 +269,33 @@ class OnlineDetector final : public trace::StreamSink {
     std::uint64_t alerts = 0;
   };
 
+  // Open-addressing map from an id (ticket, incident or server) to a time:
+  // linear probing over a power-of-two slot array kept at most a quarter
+  // full (short probe runs keep the branches predictable), and
+  // backward-shift erase, so no tombstones pile up and a lookup stops at
+  // the first empty slot.
+  class IdTimes {
+   public:
+    // The time mapped to `key`, and whether it was absent (then `value`).
+    std::pair<TimePoint*, bool> try_emplace(std::int32_t key, TimePoint value);
+    // Removes `key` if it maps to `value`.
+    void erase(std::int32_t key, TimePoint value);
+
+   private:
+    struct Slot {
+      TimePoint value = 0;
+      std::int32_t key = 0;
+      bool used = false;
+    };
+    std::size_t home(std::int32_t key) const;
+    std::size_t find(std::int32_t key) const;  // slot index, or an empty slot
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    int bits_ = 0;  // slots_.size() == 2^bits_ once allocated
+  };
+
   void ingest(const trace::StreamEvent& event);  // post-ordering-policy path
   void advance_to(TimePoint t);                  // close ticks before t
   void close_tick(TimePoint tick_end);
@@ -289,8 +315,9 @@ class OnlineDetector final : public trace::StreamSink {
   std::vector<RateChannel> rates_;   // all, per-subsystem, per-type, per-class
   std::vector<UsageChannel> usage_;  // cpu, mem
 
-  // Duplicate-id suppression within the sliding window.
-  std::unordered_set<std::int32_t> window_ids_;
+  // Duplicate-id suppression within the sliding window: ticket id -> the
+  // time it entered the window.
+  IdTimes window_ids_;
   std::deque<std::pair<TimePoint, std::int32_t>> window_id_queue_;
 
   // Incident-arrival tracking: the CUSUM counts an incident once, at its
@@ -299,7 +326,7 @@ class OnlineDetector final : public trace::StreamSink {
   // as independent Poisson arrivals would fire on every large cluster.
   // Entries idle for a full window are evicted, so memory stays bounded by
   // incident turnover, not stream length.
-  std::unordered_map<std::int32_t, TimePoint> incident_last_seen_;
+  IdTimes incident_last_seen_;
   std::deque<std::pair<TimePoint, std::int32_t>> incident_queue_;
 
   // Reorder buffer (kBuffer): min-heap on event time with a deterministic
@@ -320,14 +347,18 @@ class OnlineDetector final : public trace::StreamSink {
 
   // Lag accounting (see DetectorReport): plain local histograms so the
   // numbers exist even with observability disabled; mirrored into the obs
-  // registry once, at finish().
+  // registry once, at finish(). Zero lags, one per event on an ordered
+  // stream, are only counted here and folded into the two histograms where
+  // they are read (live_stats(), finish()).
   obs::BucketStats event_lag_{obs::sim_lag_minutes_bounds()};
   obs::BucketStats watermark_lag_{obs::sim_lag_minutes_bounds()};
   obs::BucketStats detection_lag_{obs::sim_lag_minutes_bounds()};
   obs::BucketStats ooo_occupancy_{obs::occupancy_bounds()};
+  std::uint64_t event_lag_zeros_ = 0;
+  std::uint64_t watermark_lag_zeros_ = 0;
 
   // Recurrence: last crash time per server seen crashing.
-  std::unordered_map<std::int32_t, TimePoint> last_crash_;
+  IdTimes last_crash_;
 
   DetectorReport report_;
   std::function<void(const Alert&)> alert_callback_;

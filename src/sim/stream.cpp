@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <compare>
 #include <cstdint>
-#include <numeric>
+#include <span>
+#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -62,15 +62,48 @@ TimePoint warp_fraction(const Timeline& tl, const ObservationWindow& window,
   return std::clamp(warped, window.begin, window.end - 1);
 }
 
-// A ticket's place in the feed, kept inline so the sort never leaves the
-// key: delivery time, then ticket id; `row` indexes db.tickets().
+// A ticket's place in the feed: its delivery time and its row in
+// db.tickets().
 struct TicketKey {
   TimePoint at = 0;
-  std::int32_t id = 0;
   std::uint32_t row = 0;
-
-  friend auto operator<=>(const TicketKey&, const TicketKey&) = default;
 };
+
+// Stable LSD radix sort of `keys` by `at - origin`, every key in
+// [origin, origin + span): one counting pass for all 11-bit digits, then one
+// scatter per digit.
+void radix_sort_by_time(std::vector<TicketKey>& keys, TimePoint origin,
+                        Duration span) {
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+  const auto digit = [origin](const TicketKey& k, int d) {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(k.at - origin) >> (d * kDigitBits)) &
+        (kRadix - 1));
+  };
+  int digits = 0;
+  for (auto top = static_cast<std::uint64_t>(span - 1); top != 0;
+       top >>= kDigitBits) {
+    ++digits;
+  }
+  std::vector<std::size_t> counts(static_cast<std::size_t>(digits) * kRadix,
+                                  0);
+  for (const TicketKey& k : keys) {
+    for (int d = 0; d < digits; ++d) {
+      ++counts[static_cast<std::size_t>(d) * kRadix + digit(k, d)];
+    }
+  }
+  std::vector<TicketKey> scratch(keys.size());
+  for (int d = 0; d < digits; ++d) {
+    std::size_t* const offsets = &counts[static_cast<std::size_t>(d) * kRadix];
+    std::size_t next = 0;
+    for (std::size_t b = 0; b < kRadix; ++b) {
+      next += std::exchange(offsets[b], next);
+    }
+    for (const TicketKey& k : keys) scratch[offsets[digit(k, d)]++] = k;
+    keys.swap(scratch);
+  }
+}
 
 // finalize() checks the server of crash tickets only, so a background
 // ticket may name no server; it travels with the default machine type.
@@ -124,57 +157,54 @@ void emit_stream(const trace::TraceDatabase& db,
     ++meta.servers_by_subsystem[s.subsystem];
   }
 
-  // Tickets in delivery order: (at, id), those at or past the stream end
-  // dropped.
+  // Tickets in delivery order: (at, id), those before the window or at or
+  // past the stream end dropped. Ticket ids are row positions
+  // (TraceDatabase::add_ticket assigns them), so a stable sort by `at` of
+  // the rows in row order yields (at, id) order.
   const std::vector<trace::Ticket>& all_tickets = db.tickets();
   std::vector<TicketKey> tickets;
   tickets.reserve(all_tickets.size());
   for (std::size_t row = 0; row < all_tickets.size(); ++row) {
-    const trace::Ticket& t = all_tickets[row];
-    TimePoint at = t.opened;
-    if (warp && window.contains(t.opened)) {
-      const double u = static_cast<double>(t.opened - window.begin) /
+    const TimePoint opened = all_tickets[row].opened;
+    if (!window.contains(opened)) continue;
+    TimePoint at = opened;
+    if (warp) {
+      const double u = static_cast<double>(opened - window.begin) /
                        static_cast<double>(window.length());
       at = warp_fraction(tl, window, u);
     }
     if (at < stream_end) {
-      tickets.push_back({at, t.id.value, static_cast<std::uint32_t>(row)});
+      tickets.push_back({at, static_cast<std::uint32_t>(row)});
     }
   }
-  std::sort(tickets.begin(), tickets.end());
+  radix_sort_by_time(tickets, window.begin, stream_end - window.begin);
 
   // A weekly average becomes available at the end of its week; the
   // monitoring cadence is wall-clock, so usage timestamps are never warped.
   // Week w lands in bucket b = w + 1 (earlier weeks in bucket 0), delivered
   // at window.begin + b weeks; only buckets starting before the stream end
-  // are delivered. finalize() keeps the rows (server, week)-ordered, so a
-  // stable counting sort by bucket yields (at, server, week) order.
+  // are delivered. finalize() keeps each server's rows week-ordered, so one
+  // cursor per server, advanced a bucket at a time over the servers in id
+  // order, yields (at, server, week) order.
   const auto bucket_of = [](const trace::WeeklyUsage& u) {
     return static_cast<std::size_t>(
         std::max<std::int64_t>(0, std::int64_t{u.week} + 1));
   };
   const auto buckets = static_cast<std::size_t>(
       (stream_end - window.begin + kMinutesPerWeek - 1) / kMinutesPerWeek);
-  std::vector<std::size_t> bucket_start(buckets + 1, 0);
-  for (const trace::WeeklyUsage& u : db.weekly_usage()) {
-    const std::size_t b = bucket_of(u);
-    if (b < buckets) ++bucket_start[b + 1];
-  }
-  std::partial_sum(bucket_start.begin(), bucket_start.end(),
-                   bucket_start.begin());
-  std::vector<const trace::WeeklyUsage*> usage(bucket_start.back());
-  std::vector<std::size_t> fill(bucket_start.begin(), bucket_start.end() - 1);
-  for (const trace::WeeklyUsage& u : db.weekly_usage()) {
-    const std::size_t b = bucket_of(u);
-    if (b < buckets) usage[fill[b]++] = &u;
+  const std::vector<trace::ServerRecord>& servers = db.servers();
+  std::vector<std::span<const trace::WeeklyUsage>> usage_rows;
+  usage_rows.reserve(servers.size());
+  for (const trace::ServerRecord& s : servers) {
+    usage_rows.push_back(db.weekly_usage_for(s.id));
   }
 
   // Merge the two runs, tickets first on equal `at`. Each kind reuses one
-  // event, so the unused payload stays default-constructed and ticket text
-  // keeps its capacity across calls. Rows are copied in an order unrelated
-  // to where they sit in memory, so each delivery prefetches the row its
-  // kind copies kAhead deliveries later (a ticket in two steps: the record,
-  // then its text), and the sink's work in between hides the cache misses.
+  // event, so the unused payload stays default-constructed. Rows are read
+  // in an order unrelated to where they sit in memory (tickets by time,
+  // usage rows one per server per week), so each delivery prefetches the
+  // row read kAhead tickets or servers later, and the sink's work in
+  // between hides the cache miss.
   constexpr std::size_t kAhead = 16;
   sink.begin(meta);
   trace::StreamEvent ticket_event;
@@ -186,38 +216,53 @@ void emit_stream(const trace::TraceDatabase& db,
     for (; next_ticket < tickets.size() && tickets[next_ticket].at <= until;
          ++next_ticket) {
       if (next_ticket + kAhead < tickets.size()) {
-        __builtin_prefetch(&all_tickets[tickets[next_ticket + kAhead].row]);
-      }
-      if (next_ticket + kAhead / 2 < tickets.size()) {
+        // A row spans two cache lines: the scalars and the text handles.
         const trace::Ticket& soon =
-            all_tickets[tickets[next_ticket + kAhead / 2].row];
-        __builtin_prefetch(soon.description.data());
-        __builtin_prefetch(soon.resolution.data());
+            all_tickets[tickets[next_ticket + kAhead].row];
+        __builtin_prefetch(&soon);
+        __builtin_prefetch(&soon.resolution);
       }
       const TicketKey& key = tickets[next_ticket];
       const trace::Ticket& t = all_tickets[key.row];
+      trace::StreamTicket& e = ticket_event.ticket;
+      e.id = t.id;
+      e.incident = t.incident;
+      e.server = t.server;
+      e.subsystem = t.subsystem;
+      e.is_crash = t.is_crash;
+      e.true_class = t.true_class;
+      e.opened = key.at;
+      e.closed = key.at + t.repair_time();
+      e.description = t.description;
+      e.resolution = t.resolution;
       ticket_event.at = key.at;
       ticket_event.machine_type = machine_type_of(db, t.server);
-      ticket_event.ticket = t;
-      ticket_event.ticket.opened = key.at;
-      ticket_event.ticket.closed = key.at + t.repair_time();
       sink.on_event(ticket_event);
     }
   };
+  std::size_t usage_delivered = 0;
   for (std::size_t b = 0; b < buckets; ++b) {
     usage_event.at =
         window.begin + static_cast<TimePoint>(b) * kMinutesPerWeek;
     deliver_tickets_through(usage_event.at);
-    for (std::size_t i = bucket_start[b]; i < bucket_start[b + 1]; ++i) {
-      if (i + kAhead < usage.size()) __builtin_prefetch(usage[i + kAhead]);
-      usage_event.machine_type = db.server(usage[i]->server).type;
-      usage_event.usage = *usage[i];
-      sink.on_event(usage_event);
+    for (std::size_t s = 0; s < usage_rows.size(); ++s) {
+      if (s + kAhead < usage_rows.size()) {
+        __builtin_prefetch(usage_rows[s + kAhead].data());
+      }
+      std::span<const trace::WeeklyUsage>& rows = usage_rows[s];
+      while (!rows.empty() && bucket_of(rows.front()) == b) {
+        usage_event.machine_type = servers[s].type;
+        usage_event.usage = rows.front();
+        sink.on_event(usage_event);
+        rows = rows.subspan(1);
+        ++usage_delivered;
+      }
     }
   }
   deliver_tickets_through(stream_end);
   sink.finish(stream_end);
-  obs::counter("fa.detect.stream.emitted").add(tickets.size() + usage.size());
+  obs::counter("fa.detect.stream.emitted")
+      .add(tickets.size() + usage_delivered);
 }
 
 }  // namespace fa::sim

@@ -52,17 +52,22 @@ struct StreamScenario {
 };
 
 // Replays `db` (finalized) into `sink` as a merged, timestamp-ordered
-// event stream: begin(meta), every ticket opening and weekly usage sample
-// before the stream end, finish(end). A ticket's `at` is its (warped)
-// opening time; week w's usage sample is available at the end of the week,
-// window.begin + (w + 1) weeks, clamped into the window. Delivery order is
-// total: by `at`, tickets before usage samples, tickets by id, usage
-// samples by server, then week. A ticket whose server is not in the
-// inventory (finalize() allows that for background tickets) is delivered
-// with the default machine type, so StreamEvent::machine_type is meaningful
-// only for tickets with a server. Deterministic and serial; for T tickets
-// and U usage rows the cost is O(T log T + U): one sort of the tickets on
-// inline keys, one counting sort of the usage rows by week, one merge.
+// event stream: begin(meta), every ticket opened in [window.begin, stream
+// end) and every weekly usage sample available before the stream end,
+// finish(end). A ticket opened before the window is dropped, as the batch
+// summaries skip it: the stream, like the detector's watermark, starts at
+// window.begin. A ticket's `at` is its (warped) opening time; week w's
+// usage sample is available at the end of the week, window.begin + (w + 1)
+// weeks, clamped into the window. Delivery order is total: by `at`,
+// tickets before usage samples, tickets by id, usage samples by server,
+// then week. A ticket whose server is not in the inventory (finalize()
+// allows that for background tickets) is delivered with the default
+// machine type, so StreamEvent::machine_type is meaningful only for
+// tickets with a server. A delivered ticket's text views `db`'s rows
+// (trace::StreamTicket). Deterministic and serial; for T tickets and U
+// usage rows the cost is O(T + U): a stable LSD radix sort of the tickets
+// by time, a walk of one cursor per server over its week-ordered usage
+// rows, one week at a time, and one merge.
 void emit_stream(const trace::TraceDatabase& db,
                  const StreamScenario& scenario, trace::StreamSink& sink);
 

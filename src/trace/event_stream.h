@@ -17,10 +17,17 @@
 // Sinks that tolerate disordered feeds (e.g. OnlineDetector's reorder
 // buffer) may relax the ordering clause; the contract above is what the
 // simulator-driven emitters guarantee.
+//
+// A StreamEvent is trivially copyable: a sink may buffer events by value
+// (plain memcpy), but a ticket's text fields are views into the producer's
+// rows, valid until finish() returns. A sink that keeps text past finish()
+// must copy it.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <string_view>
+#include <type_traits>
 
 #include "src/trace/records.h"
 #include "src/trace/types.h"
@@ -33,6 +40,27 @@ enum class StreamEventKind : std::uint8_t {
   kUsage = 1,   // a weekly usage average became available (week end)
 };
 
+// A ticket as the feed carries it: Ticket's scalar fields, with `opened`
+// and `closed` as delivered (warped, when the replay scripts a hazard
+// timeline), and the text as views into the producer's ticket row.
+struct StreamTicket {
+  TicketId id;
+  IncidentId incident;
+  ServerId server;
+  Subsystem subsystem = 0;
+  bool is_crash = false;
+  FailureClass true_class = FailureClass::kOther;
+
+  TimePoint opened = 0;
+  TimePoint closed = 0;
+
+  // Valid until the producer's finish() returns.
+  std::string_view description;
+  std::string_view resolution;
+
+  Duration repair_time() const { return closed - opened; }
+};
+
 // One element of the merged feed. Exactly one payload is meaningful,
 // selected by `kind`; `machine_type` is denormalized from the inventory so
 // sinks can stratify by PM/VM without holding the server table (a ticket
@@ -42,9 +70,11 @@ struct StreamEvent {
   TimePoint at = 0;  // ticket opening time / usage availability time
   MachineType machine_type = MachineType::kPhysical;
 
-  Ticket ticket;     // valid when kind == kTicket
-  WeeklyUsage usage; // valid when kind == kUsage
+  StreamTicket ticket;  // valid when kind == kTicket
+  WeeklyUsage usage;    // valid when kind == kUsage
 };
+static_assert(std::is_trivially_copyable_v<StreamEvent>,
+              "sinks buffer StreamEvents by plain copy");
 
 // Stream header: the population denominators and observation window a sink
 // needs to turn event counts into rates. Mirrors what a tenant would

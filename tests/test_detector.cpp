@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <deque>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/out_of_core.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stream.h"
 #include "src/util/error.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_support.h"
 
@@ -238,6 +244,151 @@ TEST(OnlineDetector, CountsStreamedTicketWithoutServer) {
   EXPECT_EQ(report.tickets, 2u);
   EXPECT_EQ(report.crash_tickets, 1u);
   EXPECT_EQ(stratum(report, "all").crashes, 1u);
+}
+
+TEST(OnlineDetector, StreamsTraceWithTicketBeforeTheWindow) {
+  // The watermark starts at the window's begin, so the emitter drops a
+  // ticket opened before the window instead of delivering it out of order.
+  fa::testing::TinyDbBuilder b;
+  const auto pm = b.add_pm(0);
+  b.add_crash(pm, -2.0, 1.0);
+  b.add_crash(pm, 3.0, 1.0);
+  const auto db = b.finish();
+  OnlineDetector detector;
+  ASSERT_NO_THROW(sim::emit_stream(db, {}, detector));
+  const DetectorReport& report = detector.report();
+  EXPECT_EQ(report.tickets, 1u);
+  EXPECT_EQ(report.crash_tickets, 1u);
+}
+
+TEST(OnlineDetector, ChurnStreamMatchesReference) {
+  // About 5,000 crash tickets drawn from small pools: ticket ids repeat
+  // inside and past the one-week window, incidents lapse and return, and
+  // servers recrash at every distance, so the detector's id tables grow,
+  // probe around the end of their slot arrays and erase all the time (at
+  // this seed: 26 growths, about 6,000 erases, 8 probe runs that wrap). A
+  // replica of the documented rules on ordered containers gives the
+  // expected counts and the aggregate channel's warmup baseline.
+  const DetectorOptions options;
+  OnlineDetector detector(options);
+  detector.begin(tiny_meta());
+  const TimePoint warmup_end = ticket_window().begin + options.warmup;
+
+  std::set<std::int32_t> ids;
+  std::deque<std::pair<TimePoint, std::int32_t>> id_queue;
+  std::map<std::int32_t, TimePoint> incidents;
+  std::deque<std::pair<TimePoint, std::int32_t>> incident_queue;
+  std::map<std::int32_t, TimePoint> last_crash;
+  std::uint64_t duplicates = 0, crashes = 0, recurrent = 0;
+  std::uint64_t warmup_incidents = 0;
+
+  Rng rng(0x5eed0018);
+  TimePoint at = ticket_window().begin;
+  for (int i = 0; i < 5000; ++i) {
+    at += static_cast<Duration>(rng.next_u64() % 41);
+    const auto id = static_cast<std::int32_t>(rng.next_u64() % 1200);
+    const auto incident = static_cast<std::int32_t>(rng.next_u64() % 2500);
+    const auto server = static_cast<std::int32_t>(rng.next_u64() % 1500);
+    trace::StreamEvent e = crash_event(id, incident, server, 0.0);
+    e.at = at;
+    e.ticket.opened = at;
+    e.ticket.closed = at + from_hours(2.0);
+    detector.on_event(e);
+
+    while (!id_queue.empty() && id_queue.front().first + options.window <= at) {
+      ids.erase(id_queue.front().second);
+      id_queue.pop_front();
+    }
+    if (!ids.insert(id).second) {
+      ++duplicates;
+      continue;
+    }
+    id_queue.emplace_back(at, id);
+    ++crashes;
+    const auto [last, first_crash] = last_crash.try_emplace(server, at);
+    if (!first_crash) {
+      if (at - last->second <= options.recurrence_window) ++recurrent;
+      last->second = at;
+    }
+    while (!incident_queue.empty() &&
+           incident_queue.front().first + options.window <= at) {
+      const auto [seen_at, lapsed] = incident_queue.front();
+      incident_queue.pop_front();
+      const auto it = incidents.find(lapsed);
+      if (it != incidents.end() && it->second == seen_at) incidents.erase(it);
+    }
+    const auto [seen, fresh] = incidents.try_emplace(incident, at);
+    if (!fresh) seen->second = at;
+    incident_queue.emplace_back(at, incident);
+    if (fresh && at < warmup_end) ++warmup_incidents;
+  }
+  ASSERT_GT(at, warmup_end);
+  detector.finish(ticket_window().end);
+
+  const DetectorReport& report = detector.report();
+  EXPECT_GT(duplicates, 500u);
+  EXPECT_GT(recurrent, 500u);
+  EXPECT_EQ(report.duplicates_dropped, duplicates);
+  EXPECT_EQ(report.crash_tickets, crashes);
+  EXPECT_EQ(report.recurrent_crashes, recurrent);
+  // The warmup baseline counts each incident at its first crash ticket
+  // within recent memory, so it checks the incident table too.
+  ASSERT_GE(warmup_incidents, options.min_warmup_events);
+  EXPECT_EQ(stratum(report, "all").baseline_per_tick,
+            static_cast<double>(warmup_incidents) /
+                static_cast<double>(options.warmup / options.tick));
+}
+
+// FNV-1a over a report's text, its alert log, and every field of its four
+// lag histograms (doubles by bit pattern).
+std::uint64_t report_digest(const DetectorReport& report) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  const auto mix_u64 = [&mix](std::uint64_t v) { mix(&v, sizeof v); };
+  const auto mix_double = [&mix_u64](double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix_u64(bits);
+  };
+  const std::string text = report.to_string();
+  const std::string log = report.alert_log();
+  mix(text.data(), text.size());
+  mix(log.data(), log.size());
+  for (const obs::BucketStats* lag :
+       {&report.event_lag, &report.watermark_lag, &report.detection_lag,
+        &report.ooo_occupancy}) {
+    mix_u64(lag->count);
+    mix_double(lag->sum);
+    mix_double(lag->min);
+    mix_double(lag->max);
+    for (std::uint64_t n : lag->buckets) mix_u64(n);
+  }
+  return h;
+}
+
+TEST(OnlineDetector, ReportPinnedOnSimulatedStream) {
+  // The golden alert log pins one tenant's alerts only, and to_string()
+  // prints 0 for an empty histogram; this digest pins the whole report,
+  // lag histograms included, under the strict and the buffering policy.
+  // A change to the detector's bookkeeping (its id tables, its lag
+  // accounting) must leave both digests as they are.
+  sim::StreamScenario scenario;
+  scenario.shifts.push_back({ticket_window().begin + from_days(180), 4.0});
+  const auto digest = [&scenario](const DetectorOptions& options) {
+    OnlineDetector detector(options);
+    sim::emit_stream(fa::testing::small_simulated_db(), scenario, detector);
+    return report_digest(detector.report());
+  };
+  EXPECT_EQ(digest(DetectorOptions{}), 0x0100c83735479c16ULL);
+  DetectorOptions buffer;
+  buffer.out_of_order = OutOfOrderPolicy::kBuffer;
+  buffer.reorder_slack = kMinutesPerDay;
+  EXPECT_EQ(digest(buffer), 0xebaba8860cf61164ULL);
 }
 
 TEST(OnlineDetector, StreamEndingMidWindowViaCutoff) {

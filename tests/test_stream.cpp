@@ -58,9 +58,26 @@ trace::MachineType machine_type_of(const trace::TraceDatabase& db,
              : trace::MachineType{};
 }
 
+// `t` as the feed carries it when delivered at `at`: scalars copied, times
+// moved to `at` with the repair time kept, text viewed in place.
+trace::StreamTicket feed_ticket(const trace::Ticket& t, TimePoint at) {
+  trace::StreamTicket f;
+  f.id = t.id;
+  f.incident = t.incident;
+  f.server = t.server;
+  f.subsystem = t.subsystem;
+  f.is_crash = t.is_crash;
+  f.true_class = t.true_class;
+  f.opened = at;
+  f.closed = at + t.repair_time();
+  f.description = t.description;
+  f.resolution = t.resolution;
+  return f;
+}
+
 // Every event with its `at`, stable-sorted by time, tickets before usage,
-// ticket id, then server and week; events at or past the stream end
-// dropped.
+// ticket id, then server and week; events before the window (a ticket
+// opened before it) or at or past the stream end dropped.
 std::vector<trace::StreamEvent> oracle_stream(const trace::TraceDatabase& db,
                                               const StreamScenario& scenario) {
   const ObservationWindow& w = db.window();
@@ -70,10 +87,8 @@ std::vector<trace::StreamEvent> oracle_stream(const trace::TraceDatabase& db,
     e.kind = trace::StreamEventKind::kTicket;
     e.at = warp_time(scenario, w, t.opened);
     e.machine_type = machine_type_of(db, t.server);
-    e.ticket = t;
-    e.ticket.opened = e.at;
-    e.ticket.closed = e.at + t.repair_time();
-    events.push_back(std::move(e));
+    e.ticket = feed_ticket(t, e.at);
+    events.push_back(e);
   }
   for (const trace::ServerRecord& s : db.servers()) {
     for (const trace::WeeklyUsage& u : db.weekly_usage_for(s.id)) {
@@ -98,12 +113,13 @@ std::vector<trace::StreamEvent> oracle_stream(const trace::TraceDatabase& db,
   };
   std::stable_sort(events.begin(), events.end(), delivery_less);
   const TimePoint end = scenario.cutoff > 0 ? scenario.cutoff : w.end;
-  std::erase_if(events,
-                [end](const trace::StreamEvent& e) { return e.at >= end; });
+  std::erase_if(events, [&w, end](const trace::StreamEvent& e) {
+    return e.at < w.begin || e.at >= end;
+  });
   return events;
 }
 
-bool same_ticket(const trace::Ticket& a, const trace::Ticket& b) {
+bool same_ticket(const trace::StreamTicket& a, const trace::StreamTicket& b) {
   return std::tie(a.id, a.incident, a.server, a.subsystem, a.is_crash,
                   a.true_class, a.opened, a.closed, a.description,
                   a.resolution) ==
@@ -168,25 +184,49 @@ void expect_matches_oracle(const trace::TraceDatabase& db) {
       ASSERT_TRUE(same_event(e, expected[i]))
           << "event " << i << "\n  got:  " << render(e)
           << "\n  want: " << render(expected[i]);
+      // Ticket text is viewed in the database's rows, never copied.
+      ASSERT_EQ(e.ticket.description.data(),
+                expected[i].ticket.description.data());
+      ASSERT_EQ(e.ticket.resolution.data(),
+                expected[i].ticket.resolution.data());
       // The payload the kind does not select is default-constructed.
       ASSERT_TRUE(e.kind == trace::StreamEventKind::kTicket
                       ? same_usage(e.usage, trace::WeeklyUsage{})
-                      : same_ticket(e.ticket, trace::Ticket{}))
+                      : same_ticket(e.ticket, trace::StreamTicket{}))
           << "event " << i << ": " << render(e);
     }
   }
 }
 
+// A crash ticket on `server` opened at exactly `opened`.
+void add_crash_at(fa::testing::TinyDbBuilder& b, trace::ServerId server,
+                  TimePoint opened) {
+  trace::Ticket t;
+  t.incident = b.new_incident();
+  t.server = server;
+  t.subsystem = b.raw().server(server).subsystem;
+  t.is_crash = true;
+  t.opened = opened;
+  t.closed = opened + from_hours(1.0);
+  t.description = "edge of the stream";
+  b.raw().add_ticket(t);
+}
+
 // A hand-built trace full of ties: tickets sharing a minute, a ticket on a
-// week-end instant (and on the week-end cutoff), many servers' rows in one
-// week, rows before and after the window, a ticket before the window and a
+// week-end instant (and on the week-end cutoff), tickets on the first
+// minute of the window and on the last minute of each scenario's stream,
+// many servers' rows in one week, rows before and after the window, a
+// server without usage rows, a ticket before the window (dropped) and a
 // background ticket without a server; rows and tickets are added out of
 // delivery order.
 trace::TraceDatabase tie_heavy_db() {
   fa::testing::TinyDbBuilder b;
+  const ObservationWindow w = ticket_window();
   std::vector<trace::ServerId> servers;
+  trace::ServerId silent;
   for (int i = 0; i < 6; ++i) {
     servers.push_back(b.add_vm(static_cast<trace::Subsystem>(i % 5)));
+    if (i == 3) silent = b.add_pm(1);  // reports no usage
     servers.push_back(b.add_pm(static_cast<trace::Subsystem>(i % 5)));
   }
   b.add_crash(servers[3], 200.25, 4.0);
@@ -195,8 +235,14 @@ trace::TraceDatabase tie_heavy_db() {
   b.add_background(servers[2], 10.5);   // and a third
   b.add_crash(servers[4], 35.0, 1.0);   // end of week 4, when its rows land
   b.add_crash(servers[5], 140.0, 1.0);  // on the week-end cutoff (week 20)
-  b.add_crash(servers[6], -2.0, 1.0);   // before the window
+  b.add_crash(servers[6], -2.0, 1.0);   // before the window (dropped)
   b.add_background(servers[7], 364.9);
+  add_crash_at(b, silent, w.end - 1);   // last minute of the full stream
+  add_crash_at(b, servers[8], w.begin + 20 * kMinutesPerWeek - 1);
+  add_crash_at(b, silent,               // last minute before the mid-week cut
+               w.begin + 30 * kMinutesPerWeek + from_hours(81.5) - 1);
+  add_crash_at(b, servers[9], w.begin);  // first minute of the window
+  add_crash_at(b, servers[2], w.begin);  // and a tie there
   trace::Ticket orphan;
   orphan.opened = ticket_window().begin + from_days(35.0);
   orphan.closed = orphan.opened + from_hours(5.0);
@@ -221,6 +267,42 @@ TEST(EmitStream, DeliveryOrderMatchesOracleOnSimulatedTrace) {
 
 TEST(EmitStream, DeliveryOrderMatchesOracleOnTieHeavyTrace) {
   expect_matches_oracle(tie_heavy_db());
+}
+
+TEST(EmitStream, DeliveryOrderMatchesOracleOnAWindowPast2To22Minutes) {
+  // Nine years of tickets: delivery offsets above 2^22 minutes need a third
+  // 11-bit radix digit. Rows are added so that the order of the low 22
+  // bits alone disagrees with the true order.
+  fa::testing::TinyDbBuilder b;
+  const ObservationWindow year = ticket_window();
+  const ObservationWindow nine_years{year.begin,
+                                     year.begin + from_days(9 * 365.0)};
+  ASSERT_GT(nine_years.length(), Duration{1} << 22);
+  b.raw().set_windows(nine_years,
+                      {monitoring_window().begin, nine_years.end},
+                      onoff_window());
+  const trace::ServerId pm = b.add_pm(0);
+  const trace::ServerId vm = b.add_vm(2);
+  const TimePoint past = year.begin + (Duration{1} << 22);
+  add_crash_at(b, pm, past + 10);
+  add_crash_at(b, vm, year.begin + 20);
+  add_crash_at(b, vm, past + 10);  // ties with the first
+  add_crash_at(b, pm, year.begin + 10);
+  add_crash_at(b, pm, nine_years.end - 1);
+  add_crash_at(b, vm, past - 1);
+  for (double day = 3000.0; day > 0.0; day -= 97.25) {
+    b.add_crash(day < 1500.0 ? pm : vm, day, 2.0);
+  }
+  for (const trace::ServerId s : {pm, vm}) {
+    for (int week = 0; week < 9 * 53; week += 5) {
+      trace::WeeklyUsage u;
+      u.server = s;
+      u.week = week;
+      u.cpu_util = 0.1 * week;
+      b.raw().add_weekly_usage(u);
+    }
+  }
+  expect_matches_oracle(b.finish());
 }
 
 TEST(StreamScenario, ChangePointsSkipNoOpShifts) {
