@@ -10,7 +10,6 @@ namespace {
 
 using trace::columnar::ChunkView;
 using trace::columnar::Table;
-namespace col = trace::columnar::col;
 
 constexpr std::uint8_t kUnknownScope = 0xff;
 
@@ -43,21 +42,6 @@ void finish_rates(OutOfCoreSummary& summary, int weeks) {
 
 }  // namespace
 
-void for_each_chunk(
-    const trace::ChunkReader& reader, Table table,
-    const std::function<void(const ChunkView&)>& fn,
-    trace::DegradedReadReport* report) {
-  const std::size_t chunks = reader.chunk_count(table);
-  for (std::size_t i = 0; i < chunks; ++i) {
-    if (report == nullptr) {
-      fn(reader.chunk(table, i));
-      continue;
-    }
-    const auto view = reader.try_chunk(table, i, report);
-    if (view) fn(*view);
-  }
-}
-
 OutOfCoreSummary summarize_columnar(const std::string& path, bool use_mmap,
                                     trace::DegradedReadReport* report) {
   obs::Span span("analysis.out_of_core.summarize");
@@ -71,56 +55,43 @@ OutOfCoreSummary summarize_columnar(const std::string& path, bool use_mmap,
   // slots (ids are row positions), so it pads the index with unknown
   // scopes instead of shifting later servers.
   std::vector<std::uint8_t> scope_of;
-  std::uint64_t server_rows_read = 0;
   scope_of.reserve(reader.row_count(Table::kServers));
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kServers); ++i) {
-    std::optional<ChunkView> lenient;
-    if (report != nullptr) {
-      lenient = reader.try_chunk(Table::kServers, i, report);
-      if (!lenient) {
-        scope_of.resize(scope_of.size() +
-                            reader.chunk_info(Table::kServers, i).rows,
-                        kUnknownScope);
-        continue;
-      }
-    }
-    const ChunkView view =
-        report != nullptr ? std::move(*lenient)
-                          : reader.chunk(Table::kServers, i);
-    const auto types = view.column(col::kServerType).u8_span();
-    const auto systems = view.column(col::kServerSubsystem).u8_span();
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      const auto type = static_cast<trace::MachineType>(types[r]);
-      const trace::Subsystem sys = systems[r];
-      ++summary.by_scope[static_cast<int>(type)][sys].servers;
-      scope_of.push_back(pack_scope(type, sys));
-    }
-    server_rows_read += view.rows();
-  }
-  summary.servers = server_rows_read;
+  trace::for_each_chunk(
+      reader, Table::kServers, report,
+      [&](const ChunkView& view, std::int64_t first_row) {
+        scope_of.resize(static_cast<std::size_t>(first_row), kUnknownScope);
+        const trace::ServerRows rows(view, first_row);
+        for (std::uint32_t r = 0; r < view.rows(); ++r) {
+          const auto type = static_cast<trace::MachineType>(rows.type[r]);
+          const trace::Subsystem sys = rows.subsystem[r];
+          ++summary.by_scope[static_cast<int>(type)][sys].servers;
+          scope_of.push_back(pack_scope(type, sys));
+        }
+        summary.servers += view.rows();
+      });
 
   // Pass 2 — tickets: crash volumes per stratum, window-clipped.
-  for_each_chunk(reader, Table::kTickets, [&](const ChunkView& view) {
-    const auto& is_crash = view.column(col::kTicketIsCrash);
-    const auto& opened = view.column(col::kTicketOpened);
-    const auto& server = view.column(col::kTicketServer);
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      ++summary.tickets;
-      if (is_crash.int_at(r) == 0) continue;
-      ++summary.crash_tickets;
-      const TimePoint at = opened.int_at(r);
-      if (at < window.begin || at >= window.end) continue;
-      const std::int64_t sid = server.int_at(r);
-      if (sid < 0 || static_cast<std::size_t>(sid) >= scope_of.size()) {
-        continue;
-      }
-      const std::uint8_t packed = scope_of[static_cast<std::size_t>(sid)];
-      if (packed == kUnknownScope) continue;
-      ++summary.by_scope[packed / trace::kSubsystemCount]
-                        [packed % trace::kSubsystemCount]
-                            .crash_tickets;
-    }
-  }, report);
+  trace::for_each_chunk(
+      reader, Table::kTickets, report,
+      [&](const ChunkView& view, std::int64_t first_row) {
+        const trace::TicketRows rows(view, first_row);
+        summary.tickets += view.rows();
+        for (std::uint32_t r = 0; r < view.rows(); ++r) {
+          if (rows.is_crash[r] == 0) continue;
+          ++summary.crash_tickets;
+          const TimePoint at = rows.opened[r];
+          if (at < window.begin || at >= window.end) continue;
+          const std::int32_t sid = rows.server[r];
+          if (sid < 0 || static_cast<std::size_t>(sid) >= scope_of.size()) {
+            continue;
+          }
+          const std::uint8_t packed = scope_of[static_cast<std::size_t>(sid)];
+          if (packed == kUnknownScope) continue;
+          ++summary.by_scope[packed / trace::kSubsystemCount]
+                            [packed % trace::kSubsystemCount]
+                                .crash_tickets;
+        }
+      });
 
   // Monitoring-table volumes come straight from the footer.
   summary.weekly_usage_rows = reader.row_count(Table::kWeeklyUsage);

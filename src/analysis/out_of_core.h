@@ -9,21 +9,12 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "src/trace/columnar_io.h"
 #include "src/trace/database.h"
 
 namespace fa::analysis {
-
-// Calls fn(view) for every chunk of `table`, in file order. With a
-// non-null `report` the traversal is lenient: damaged chunks (checksum
-// mismatch, truncation) are skipped and recorded instead of throwing.
-void for_each_chunk(
-    const trace::ChunkReader& reader, trace::columnar::Table table,
-    const std::function<void(const trace::columnar::ChunkView&)>& fn,
-    trace::DegradedReadReport* report = nullptr);
 
 // Aggregates for one (machine type, subsystem) stratum.
 struct ScopeSummary {

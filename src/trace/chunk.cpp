@@ -33,6 +33,20 @@ constexpr std::size_t kDictTableMin = 2048;
   throw Error("columnar: dictionary blob exceeds 4 GiB");
 }
 
+// Row of the first value outside [0, domain), or `rows` when there is
+// none. The max pass is branch-free, so a valid block costs one
+// vectorizable sweep.
+std::uint32_t first_outside_domain(const std::uint8_t* values,
+                                   std::uint32_t rows, int domain) {
+  std::uint8_t top = 0;
+  for (std::uint32_t r = 0; r < rows; ++r) top = std::max(top, values[r]);
+  if (top < domain) return rows;
+  return static_cast<std::uint32_t>(
+      std::find_if(values, values + rows,
+                   [domain](std::uint8_t v) { return v >= domain; }) -
+      values);
+}
+
 bool int_like(Encoding e) {
   switch (e) {
     case Encoding::kInt64:
@@ -73,8 +87,8 @@ std::string_view encoding_name(Encoding encoding) {
 
 const std::vector<ColumnSpec>& table_schema(Table table) {
   static const std::vector<ColumnSpec> servers = {
-      {"type", Encoding::kUInt8},
-      {"subsystem", Encoding::kUInt8},
+      {"type", Encoding::kUInt8, kMachineTypeCount},
+      {"subsystem", Encoding::kUInt8, kSubsystemCount},
       {"cpu_count", Encoding::kInt32},
       {"memory_gb", Encoding::kFloat64},
       {"disk_gb", Encoding::kOptFloat64},
@@ -85,9 +99,9 @@ const std::vector<ColumnSpec>& table_schema(Table table) {
   static const std::vector<ColumnSpec> tickets = {
       {"incident", Encoding::kInt32},
       {"server", Encoding::kInt32},
-      {"subsystem", Encoding::kUInt8},
-      {"is_crash", Encoding::kUInt8},
-      {"true_class", Encoding::kUInt8},
+      {"subsystem", Encoding::kUInt8, kSubsystemCount},
+      {"is_crash", Encoding::kUInt8, 2},
+      {"true_class", Encoding::kUInt8, kFailureClassCount},
       {"opened", Encoding::kInt64},
       {"closed", Encoding::kInt64},
       {"description", Encoding::kStringDict},
@@ -104,7 +118,7 @@ const std::vector<ColumnSpec>& table_schema(Table table) {
   static const std::vector<ColumnSpec> power_events = {
       {"server", Encoding::kInt32},
       {"at", Encoding::kInt64},
-      {"powered_on", Encoding::kUInt8},
+      {"powered_on", Encoding::kUInt8, 2},
   };
   static const std::vector<ColumnSpec> snapshots = {
       {"server", Encoding::kInt32},
@@ -148,6 +162,7 @@ ChunkBuilder::ChunkBuilder(Table table) : table_(table) {
   columns_.resize(schema.size());
   for (std::size_t i = 0; i < schema.size(); ++i) {
     columns_[i].encoding = schema[i].encoding;
+    columns_[i].domain = schema[i].domain;
   }
 }
 
@@ -245,7 +260,8 @@ void ChunkBuilder::add_int(std::size_t column, std::int64_t v) {
     require(v >= INT32_MIN && v <= INT32_MAX,
             "columnar: value out of int32 range");
   } else if (e == Encoding::kUInt8) {
-    require(v >= 0 && v <= UINT8_MAX, "columnar: value out of uint8 range");
+    require(v >= 0 && v < c.domain,
+            "columnar: value outside the column's domain");
   }
   c.ints.push_back(v);
 }
@@ -394,47 +410,10 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
 
 // ---- ColumnView ----
 
-std::int64_t ColumnView::int_at(std::uint32_t row) const {
-  switch (encoding_) {
-    case Encoding::kInt64: {
-      std::int64_t v;
-      std::memcpy(&v, values_ + row * sizeof(v), sizeof(v));
-      return v;
-    }
-    case Encoding::kInt32:
-    case Encoding::kOptInt32: {
-      std::int32_t v;
-      std::memcpy(&v, values_ + row * sizeof(v), sizeof(v));
-      return v;
-    }
-    case Encoding::kUInt8:
-      return static_cast<std::int64_t>(
-          static_cast<std::uint8_t>(values_[row]));
-    default:
-      throw Error("columnar: int_at on a non-integer column");
-  }
-}
-
-double ColumnView::double_at(std::uint32_t row) const {
-  require(encoding_ == Encoding::kFloat64 ||
-              encoding_ == Encoding::kOptFloat64,
-          "columnar: double_at on a non-double column");
-  double v;
-  std::memcpy(&v, values_ + row * sizeof(v), sizeof(v));
-  return v;
-}
-
-bool ColumnView::present_at(std::uint32_t row) const {
-  if (bitmap_ == nullptr) return true;
-  const auto byte = static_cast<std::uint8_t>(bitmap_[row / 8]);
-  return (byte >> (row % 8)) & 1u;
-}
-
 std::string_view ColumnView::string_at(std::uint32_t row) const {
   require(encoding_ == Encoding::kStringDict,
           "columnar: string_at on a non-dictionary column");
   const std::uint32_t slot = indices_[row];
-  require(slot < dict_count_, "columnar: dictionary index out of range");
   return {dict_bytes_ + dict_offsets_[slot],
           dict_offsets_[slot + 1] - dict_offsets_[slot]};
 }
@@ -501,10 +480,22 @@ ChunkView::ChunkView(Table table, const ChunkInfo& info, const std::byte* base,
         expect_size(rows_ * 4ull);
         view.values_ = p;
         break;
-      case Encoding::kUInt8:
+      case Encoding::kUInt8: {
         expect_size(rows_);
         view.values_ = p;
+        const auto* values = reinterpret_cast<const std::uint8_t*>(p);
+        const int domain = schema[ci].domain;
+        const std::uint32_t bad = first_outside_domain(values, rows_, domain);
+        if (bad < rows_) {
+          throw Error("columnar: " + std::string(table_name(table)) + "." +
+                      std::string(schema[ci].name) + " row " +
+                      std::to_string(bad) + " holds " +
+                      std::to_string(values[bad]) +
+                      ", outside its domain [0, " + std::to_string(domain) +
+                      ")");
+        }
         break;
+      }
       case Encoding::kOptFloat64:
         expect_size(bitmap_bytes + rows_ * 8ull);
         view.bitmap_ = p;
@@ -526,7 +517,6 @@ ChunkView::ChunkView(Table table, const ChunkInfo& info, const std::byte* base,
             (std::size_t(dict_count) + 1) * sizeof(std::uint32_t);
         require(block.size >= sizeof(std::uint32_t) + offsets_bytes,
                 "columnar: dictionary offsets truncated");
-        view.dict_count_ = dict_count;
         view.dict_offsets_ = reinterpret_cast<const std::uint32_t*>(
             p + sizeof(std::uint32_t));
         const std::size_t blob_start = sizeof(std::uint32_t) + offsets_bytes;
@@ -537,6 +527,17 @@ ChunkView::ChunkView(Table table, const ChunkInfo& info, const std::byte* base,
         view.dict_bytes_ = reinterpret_cast<const char*>(p + blob_start);
         view.indices_ = reinterpret_cast<const std::uint32_t*>(
             p + indices_start);
+        // Non-decreasing offsets keep every slot's bytes inside the blob.
+        for (std::uint32_t s = 0; s < dict_count; ++s) {
+          require(view.dict_offsets_[s] <= view.dict_offsets_[s + 1],
+                  "columnar: dictionary offsets decrease");
+        }
+        std::uint32_t top = 0;
+        for (std::uint32_t r = 0; r < rows_; ++r) {
+          top = std::max(top, view.indices_[r]);
+        }
+        require(rows_ == 0 || top < dict_count,
+                "columnar: dictionary index out of range");
         break;
       }
     }

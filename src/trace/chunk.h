@@ -65,6 +65,10 @@ std::string_view encoding_name(Encoding encoding);
 struct ColumnSpec {
   std::string_view name;
   Encoding encoding;
+  // kUInt8 columns hold enums: every value lies in [0, domain). The builder
+  // refuses to encode, and ChunkView to decode, a chunk with a value
+  // outside it, so readers cast u8 values without a per-row check.
+  int domain = 0;
 };
 
 // Column order mirrors the CSV headers minus the regenerable row-index id
@@ -155,7 +159,8 @@ class ChunkBuilder {
         require(v >= INT32_MIN && v <= INT32_MAX,
                 "columnar: value out of int32 range");
       } else if (e == Encoding::kUInt8) {
-        require(v >= 0 && v <= UINT8_MAX, "columnar: value out of uint8 range");
+        require(v >= 0 && v < c.domain,
+                "columnar: value outside the column's domain");
       }
       c.ints.push_back(v);
     }
@@ -214,6 +219,7 @@ class ChunkBuilder {
 
   struct Column {
     Encoding encoding;
+    int domain;                          // kUInt8 (ColumnSpec::domain)
     std::vector<std::int64_t> ints;      // int-like values (0 when absent)
     std::vector<double> doubles;         // kFloat64 / kOptFloat64
     std::vector<std::uint8_t> present;   // optional columns, 1 per row
@@ -242,10 +248,11 @@ class ColumnView {
   Encoding encoding() const { return encoding_; }
   std::uint32_t rows() const { return rows_; }
 
-  // Generic accessors (valid per encoding; bounds unchecked on the row).
-  std::int64_t int_at(std::uint32_t row) const;
-  double double_at(std::uint32_t row) const;
-  bool present_at(std::uint32_t row) const;  // non-optional: always true
+  // Row accessors (bounds unchecked on the row).
+  bool present_at(std::uint32_t row) const {  // non-optional: always true
+    if (bitmap_ == nullptr) return true;
+    return (static_cast<std::uint8_t>(bitmap_[row / 8]) >> (row % 8)) & 1u;
+  }
   std::string_view string_at(std::uint32_t row) const;
 
   // Typed zero-copy spans (throw on encoding mismatch).
@@ -253,8 +260,6 @@ class ColumnView {
   std::span<const std::int32_t> i32_span() const;
   std::span<const std::uint8_t> u8_span() const;
   std::span<const double> f64_span() const;
-
-  std::uint32_t dict_size() const { return dict_count_; }
 
  private:
   friend class ChunkView;
@@ -264,7 +269,6 @@ class ColumnView {
   const std::byte* values_ = nullptr;    // numeric payload
   const std::byte* bitmap_ = nullptr;    // optional columns
   // kStringDict:
-  std::uint32_t dict_count_ = 0;
   const std::uint32_t* dict_offsets_ = nullptr;
   const char* dict_bytes_ = nullptr;
   const std::uint32_t* indices_ = nullptr;
@@ -272,12 +276,16 @@ class ColumnView {
 
 // One decoded chunk: per-column views over its backing bytes. When `owned`
 // is non-empty the view carries its own copy (buffered reads); otherwise it
-// borrows the reader's mapping.
+// borrows the reader's mapping. Construction validates the chunk once, so
+// per-row reads need no checks: block sizes, every u8 value against its
+// column's domain, and every dictionary's offsets and row indices. A
+// failed check throws fa::Error naming the table, column and row
+// (ChunkReader::chunk() rethrows it as a kDecodeError ChunkError).
 class ChunkView {
  public:
   // `base` must point at the chunk start and stay valid for the view's
-  // lifetime; `info.columns[i].offset` are absolute file offsets, and
-  // `chunk_file_offset` anchors them.
+  // lifetime; block i starts at `info.columns[i].offset - info.offset`
+  // bytes into the chunk.
   ChunkView(Table table, const ChunkInfo& info, const std::byte* base,
             std::vector<std::byte> owned = {});
 

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -25,6 +26,7 @@ using columnar::Table;
 using columnar::fnv1a;
 using columnar::kTableCount;
 using columnar::table_schema;
+namespace col = columnar::col;
 
 using format::kFrameBytes;
 using format::kHeaderBytes;
@@ -49,13 +51,6 @@ obs::Counter& checkpoints_counter() {
 obs::Counter& chunks_skipped_counter() {
   static obs::Counter& c = obs::counter("fa.trace.columnar.chunks_skipped");
   return c;
-}
-
-// Per-row decode checks (decode_server, decode_ticket) call this only when
-// a value is out of range, so the happy path builds no message.
-[[noreturn]] void fail_value(const char* what, std::int64_t value) {
-  throw Error(std::string("columnar: invalid ") + what + " " +
-              std::to_string(value));
 }
 
 FileReport build_report(
@@ -590,16 +585,6 @@ ChunkView ChunkReader::chunk(Table table, std::size_t index) const {
   return decode(base, std::move(owned));
 }
 
-std::optional<ChunkView> ChunkReader::try_chunk(
-    Table table, std::size_t index, DegradedReadReport* report) const {
-  try {
-    return chunk(table, index);
-  } catch (const ChunkError& e) {
-    if (report != nullptr) report->record(e, chunk_info(table, index).rows);
-    return std::nullopt;
-  }
-}
-
 FileReport ChunkReader::report() const {
   return build_report(directory_, row_counts_, footer_bytes_);
 }
@@ -661,95 +646,72 @@ void append_record(columnar::ChunkBuilder& b, const MonthlySnapshot& s) {
   b.next_row();
 }
 
-ServerRecord decode_server(const ChunkView& view, std::uint32_t row,
-                           std::int64_t first_row_id) {
-  using namespace columnar::col;
-  ServerRecord r;
-  r.id = ServerId{static_cast<std::int32_t>(first_row_id + row)};
-  const std::int64_t type = view.column(kServerType).int_at(row);
-  if (type < 0 || type >= kMachineTypeCount) fail_value("machine type", type);
-  r.type = static_cast<MachineType>(type);
-  const std::int64_t sys = view.column(kServerSubsystem).int_at(row);
-  if (sys < 0 || sys >= kSubsystemCount) fail_value("subsystem", sys);
-  r.subsystem = static_cast<Subsystem>(sys);
-  r.cpu_count = static_cast<int>(view.column(kServerCpuCount).int_at(row));
-  r.memory_gb = view.column(kServerMemoryGb).double_at(row);
-  if (view.column(kServerDiskGb).present_at(row)) {
-    r.disk_gb = view.column(kServerDiskGb).double_at(row);
-  }
-  if (view.column(kServerDiskCount).present_at(row)) {
-    r.disk_count =
-        static_cast<int>(view.column(kServerDiskCount).int_at(row));
-  }
-  r.host_box = BoxId{
-      static_cast<std::int32_t>(view.column(kServerHostBox).int_at(row))};
-  r.first_record = view.column(kServerFirstRecord).int_at(row);
-  return r;
-}
+// ---- row decoders ----
 
-Ticket decode_ticket(const ChunkView& view, std::uint32_t row,
-                     std::int64_t first_row_id) {
-  using namespace columnar::col;
-  Ticket t;
-  t.id = TicketId{static_cast<std::int32_t>(first_row_id + row)};
-  t.incident = IncidentId{
-      static_cast<std::int32_t>(view.column(kTicketIncident).int_at(row))};
-  t.server = ServerId{
-      static_cast<std::int32_t>(view.column(kTicketServer).int_at(row))};
-  const std::int64_t sys = view.column(kTicketSubsystem).int_at(row);
-  if (sys < 0 || sys >= kSubsystemCount) fail_value("subsystem", sys);
-  t.subsystem = static_cast<Subsystem>(sys);
-  const std::int64_t crash = view.column(kTicketIsCrash).int_at(row);
-  if (crash != 0 && crash != 1) fail_value("is_crash", crash);
-  t.is_crash = crash != 0;
-  const std::int64_t cls = view.column(kTicketTrueClass).int_at(row);
-  if (cls < 0 || cls >= kFailureClassCount) fail_value("failure class", cls);
-  t.true_class = static_cast<FailureClass>(cls);
-  t.opened = view.column(kTicketOpened).int_at(row);
-  t.closed = view.column(kTicketClosed).int_at(row);
-  t.description = std::string(view.column(kTicketDescription).string_at(row));
-  t.resolution = std::string(view.column(kTicketResolution).string_at(row));
-  return t;
-}
+ServerRows::ServerRows(const ChunkView& view, std::int64_t first_id)
+    : first_id(first_id),
+      type(view.column(col::kServerType).u8_span()),
+      subsystem(view.column(col::kServerSubsystem).u8_span()),
+      cpu_count(view.column(col::kServerCpuCount).i32_span()),
+      memory_gb(view.column(col::kServerMemoryGb).f64_span()),
+      disk_gb_col(view.column(col::kServerDiskGb)),
+      disk_gb(disk_gb_col.f64_span()),
+      disk_count_col(view.column(col::kServerDiskCount)),
+      disk_count(disk_count_col.i32_span()),
+      host_box(view.column(col::kServerHostBox).i32_span()),
+      first_record(view.column(col::kServerFirstRecord).i64_span()) {}
 
-WeeklyUsage decode_weekly_usage(const ChunkView& view, std::uint32_t row) {
-  using namespace columnar::col;
-  WeeklyUsage u;
-  u.server = ServerId{
-      static_cast<std::int32_t>(view.column(kUsageServer).int_at(row))};
-  u.week = static_cast<int>(view.column(kUsageWeek).int_at(row));
-  u.cpu_util = view.column(kUsageCpuUtil).double_at(row);
-  u.mem_util = view.column(kUsageMemUtil).double_at(row);
-  if (view.column(kUsageDiskUtil).present_at(row)) {
-    u.disk_util = view.column(kUsageDiskUtil).double_at(row);
+TicketRows::TicketRows(const ChunkView& view, std::int64_t first_id)
+    : first_id(first_id),
+      incident(view.column(col::kTicketIncident).i32_span()),
+      server(view.column(col::kTicketServer).i32_span()),
+      subsystem(view.column(col::kTicketSubsystem).u8_span()),
+      is_crash(view.column(col::kTicketIsCrash).u8_span()),
+      true_class(view.column(col::kTicketTrueClass).u8_span()),
+      opened(view.column(col::kTicketOpened).i64_span()),
+      closed(view.column(col::kTicketClosed).i64_span()),
+      description(view.column(col::kTicketDescription)),
+      resolution(view.column(col::kTicketResolution)) {}
+
+UsageRows::UsageRows(const ChunkView& view)
+    : server(view.column(col::kUsageServer).i32_span()),
+      week(view.column(col::kUsageWeek).i32_span()),
+      cpu_util(view.column(col::kUsageCpuUtil).f64_span()),
+      mem_util(view.column(col::kUsageMemUtil).f64_span()),
+      disk_util_col(view.column(col::kUsageDiskUtil)),
+      disk_util(disk_util_col.f64_span()),
+      net_kbps_col(view.column(col::kUsageNetKbps)),
+      net_kbps(net_kbps_col.f64_span()) {}
+
+PowerRows::PowerRows(const ChunkView& view)
+    : server(view.column(col::kPowerServer).i32_span()),
+      at(view.column(col::kPowerAt).i64_span()),
+      powered_on(view.column(col::kPowerOn).u8_span()) {}
+
+SnapshotRows::SnapshotRows(const ChunkView& view)
+    : server(view.column(col::kSnapServer).i32_span()),
+      month(view.column(col::kSnapMonth).i32_span()),
+      box(view.column(col::kSnapBox).i32_span()),
+      consolidation(view.column(col::kSnapConsolidation).i32_span()) {}
+
+// ---- chunk walk ----
+
+void for_each_chunk(
+    const ChunkReader& reader, Table table, DegradedReadReport* report,
+    const std::function<void(const ChunkView&, std::int64_t)>& fn) {
+  std::int64_t first_row = 0;
+  for (std::size_t i = 0; i < reader.chunk_count(table); ++i) {
+    const std::uint32_t rows = reader.chunk_info(table, i).rows;
+    std::optional<ChunkView> view;
+    try {
+      view.emplace(reader.chunk(table, i));
+    } catch (const ChunkError& e) {
+      if (report == nullptr) throw;
+      report->record(e, rows);
+    }
+    if (view) fn(*view, first_row);
+    first_row += rows;
   }
-  if (view.column(kUsageNetKbps).present_at(row)) {
-    u.net_kbps = view.column(kUsageNetKbps).double_at(row);
-  }
-  return u;
-}
-
-PowerEvent decode_power_event(const ChunkView& view, std::uint32_t row) {
-  using namespace columnar::col;
-  PowerEvent e;
-  e.server = ServerId{
-      static_cast<std::int32_t>(view.column(kPowerServer).int_at(row))};
-  e.at = view.column(kPowerAt).int_at(row);
-  e.powered_on = view.column(kPowerOn).int_at(row) != 0;
-  return e;
-}
-
-MonthlySnapshot decode_snapshot(const ChunkView& view, std::uint32_t row) {
-  using namespace columnar::col;
-  MonthlySnapshot s;
-  s.server = ServerId{
-      static_cast<std::int32_t>(view.column(kSnapServer).int_at(row))};
-  s.month = static_cast<int>(view.column(kSnapMonth).int_at(row));
-  s.box = BoxId{
-      static_cast<std::int32_t>(view.column(kSnapBox).int_at(row))};
-  s.consolidation =
-      static_cast<int>(view.column(kSnapConsolidation).int_at(row));
-  return s;
 }
 
 // ---- whole-database convenience ----
@@ -789,7 +751,31 @@ FileReport save_columnar(const TraceDatabase& db, const std::string& path,
   return writer.report();
 }
 
-TraceDatabase load_columnar(const std::string& path, bool use_mmap) {
+namespace {
+
+// Adds every row of one monitoring table to `db` through decoder Rows,
+// except rows that name a lost server (counted in `dangling`).
+template <typename Rows, typename Lost, typename Add>
+void load_monitoring(const ChunkReader& reader, Table table,
+                     DegradedReadReport* report, const Lost& lost,
+                     std::uint64_t& dangling, const Add& add) {
+  for_each_chunk(reader, table, report,
+                 [&](const ChunkView& view, std::int64_t) {
+                   const Rows rows(view);
+                   for (std::uint32_t r = 0; r < view.rows(); ++r) {
+                     if (lost(rows.server[r])) {
+                       ++dangling;
+                       continue;
+                     }
+                     add(rows.row(r));
+                   }
+                 });
+}
+
+}  // namespace
+
+TraceDatabase load_columnar(const std::string& path, bool use_mmap,
+                            DegradedReadReport* report) {
   obs::Span span("trace.columnar.load");
   ChunkReader reader(path, use_mmap);
   TraceDatabase db;
@@ -801,204 +787,56 @@ TraceDatabase load_columnar(const std::string& path, bool use_mmap) {
              reader.row_count(Table::kPowerEvents),
              reader.row_count(Table::kSnapshots));
 
-  std::int64_t first_row = 0;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kServers); ++i) {
-    const ChunkView view = reader.chunk(Table::kServers, i);
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      db.add_server(decode_server(view, r, first_row));
-    }
-    first_row += view.rows();
-  }
-  first_row = 0;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kTickets); ++i) {
-    using namespace columnar::col;
-    const columnar::ChunkInfo& info = reader.chunk_info(Table::kTickets, i);
-    // The footer min/max stats validate whole chunks of enum-like columns
-    // at once; fall back to per-row checks only when a chunk lacks stats.
-    const auto in_range = [&](std::size_t column, std::int64_t lo,
-                              std::int64_t hi) {
-      const columnar::ColumnStats& stats = info.columns[column].stats;
-      return stats.has_minmax && stats.min >= lo && stats.max <= hi;
-    };
-    if (!in_range(kTicketSubsystem, 0, kSubsystemCount - 1) ||
-        !in_range(kTicketIsCrash, 0, 1) ||
-        !in_range(kTicketTrueClass, 0, kFailureClassCount - 1)) {
-      const ChunkView view = reader.chunk(Table::kTickets, i);
-      for (std::uint32_t r = 0; r < view.rows(); ++r) {
-        db.add_ticket(decode_ticket(view, r, first_row));
-      }
-      first_row += view.rows();
-      continue;
-    }
-    const ChunkView view = reader.chunk(Table::kTickets, i);
-    const auto incident = view.column(kTicketIncident).i32_span();
-    const auto server = view.column(kTicketServer).i32_span();
-    const auto subsystem = view.column(kTicketSubsystem).u8_span();
-    const auto is_crash = view.column(kTicketIsCrash).u8_span();
-    const auto true_class = view.column(kTicketTrueClass).u8_span();
-    const auto opened = view.column(kTicketOpened).i64_span();
-    const auto closed = view.column(kTicketClosed).i64_span();
-    const columnar::ColumnView& description =
-        view.column(kTicketDescription);
-    const columnar::ColumnView& resolution =
-        view.column(kTicketResolution);
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      Ticket t;
-      t.id = TicketId{static_cast<std::int32_t>(first_row + r)};
-      t.incident = IncidentId{incident[r]};
-      t.server = ServerId{server[r]};
-      t.subsystem = static_cast<Subsystem>(subsystem[r]);
-      t.is_crash = is_crash[r] != 0;
-      t.true_class = static_cast<FailureClass>(true_class[r]);
-      t.opened = opened[r];
-      t.closed = closed[r];
-      t.description = std::string(description.string_at(r));
-      t.resolution = std::string(resolution.string_at(r));
-      db.add_ticket(std::move(t));
-    }
-    first_row += view.rows();
-  }
-  // The monitoring tables are the row-count bulk of a trace; decode them
-  // through typed column spans instead of the per-value generic accessors.
-  using namespace columnar::col;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kWeeklyUsage); ++i) {
-    const ChunkView view = reader.chunk(Table::kWeeklyUsage, i);
-    const auto server = view.column(kUsageServer).i32_span();
-    const auto week = view.column(kUsageWeek).i32_span();
-    const auto cpu = view.column(kUsageCpuUtil).f64_span();
-    const auto mem = view.column(kUsageMemUtil).f64_span();
-    const columnar::ColumnView& disk = view.column(kUsageDiskUtil);
-    const columnar::ColumnView& net = view.column(kUsageNetKbps);
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      WeeklyUsage u;
-      u.server = ServerId{server[r]};
-      u.week = week[r];
-      u.cpu_util = cpu[r];
-      u.mem_util = mem[r];
-      if (disk.present_at(r)) u.disk_util = disk.double_at(r);
-      if (net.present_at(r)) u.net_kbps = net.double_at(r);
-      db.add_weekly_usage(u);
-    }
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kPowerEvents); ++i) {
-    const ChunkView view = reader.chunk(Table::kPowerEvents, i);
-    const auto server = view.column(kPowerServer).i32_span();
-    const auto at = view.column(kPowerAt).i64_span();
-    const auto on = view.column(kPowerOn).u8_span();
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      db.add_power_event({ServerId{server[r]}, at[r], on[r] != 0});
-    }
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kSnapshots); ++i) {
-    const ChunkView view = reader.chunk(Table::kSnapshots, i);
-    const auto server = view.column(kSnapServer).i32_span();
-    const auto month = view.column(kSnapMonth).i32_span();
-    const auto box = view.column(kSnapBox).i32_span();
-    const auto consolidation = view.column(kSnapConsolidation).i32_span();
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      db.add_monthly_snapshot(
-          {ServerId{server[r]}, month[r], BoxId{box[r]}, consolidation[r]});
-    }
-  }
-  for (std::int32_t i = 0; i < reader.next_incident(); ++i) {
-    db.new_incident();
-  }
-  db.finalize();
-  return db;
-}
-
-TraceDatabase load_columnar_lenient(const std::string& path,
-                                    DegradedReadReport& report,
-                                    bool use_mmap) {
-  obs::Span span("trace.columnar.load_lenient");
-  ChunkReader reader(path, use_mmap);
-  TraceDatabase db;
-  db.set_windows(reader.window(), reader.monitoring(),
-                 reader.onoff_tracking());
-
-  // Server ids are row positions, so a damaged server chunk orphans every
-  // later positional id: keep only the longest undamaged chunk prefix.
+  // Server ids are row positions, so once a server chunk is skipped every
+  // later server is lost too: the servers table keeps its longest
+  // undamaged chunk prefix, and rows naming a lost server are dropped. A
+  // strict load loses none, so `lost` never fires there.
   std::int64_t servers_loaded = 0;
-  bool server_gap = false;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kServers); ++i) {
-    if (server_gap) {
-      report.rows_dropped_dangling +=
-          reader.chunk_info(Table::kServers, i).rows;
-      continue;
-    }
-    const auto view = reader.try_chunk(Table::kServers, i, &report);
-    if (!view) {
-      server_gap = true;
-      continue;
-    }
-    for (std::uint32_t r = 0; r < view->rows(); ++r) {
-      db.add_server(decode_server(*view, r, servers_loaded + r));
-    }
-    servers_loaded += view->rows();
-  }
-  const auto server_ok = [&](std::int32_t sid) {
-    return sid >= 0 && sid < servers_loaded;
+  std::uint64_t dangling = 0;
+  for_each_chunk(reader, Table::kServers, report,
+                 [&](const ChunkView& view, std::int64_t first_row) {
+                   if (first_row != servers_loaded) {
+                     dangling += view.rows();
+                     return;
+                   }
+                   const ServerRows rows(view, first_row);
+                   for (std::uint32_t r = 0; r < view.rows(); ++r) {
+                     db.add_server(rows.row(r));
+                   }
+                   servers_loaded += view.rows();
+                 });
+  const auto server_count =
+      static_cast<std::int64_t>(reader.row_count(Table::kServers));
+  const auto lost = [&](std::int32_t server) {
+    return server >= servers_loaded && server < server_count;
   };
 
-  // For the reference-free positional ids of the remaining tables, skipping
-  // a damaged chunk is safe as long as `first_row` still advances by the
-  // skipped chunk's row count (later decoded records keep their positions
-  // in derived values like next_incident).
   std::int32_t max_incident = -1;
-  std::int64_t first_row = 0;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kTickets); ++i) {
-    const std::uint32_t chunk_rows =
-        reader.chunk_info(Table::kTickets, i).rows;
-    const auto view = reader.try_chunk(Table::kTickets, i, &report);
-    if (view) {
-      for (std::uint32_t r = 0; r < view->rows(); ++r) {
-        Ticket t = decode_ticket(*view, r, first_row);
-        if (!server_ok(t.server.value)) {
-          ++report.rows_dropped_dangling;
-          continue;
-        }
-        max_incident = std::max(max_incident, t.incident.value);
-        db.add_ticket(std::move(t));
-      }
-    }
-    first_row += chunk_rows;
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kWeeklyUsage); ++i) {
-    const auto view = reader.try_chunk(Table::kWeeklyUsage, i, &report);
-    if (!view) continue;
-    for (std::uint32_t r = 0; r < view->rows(); ++r) {
-      WeeklyUsage u = decode_weekly_usage(*view, r);
-      if (!server_ok(u.server.value)) {
-        ++report.rows_dropped_dangling;
-        continue;
-      }
-      db.add_weekly_usage(std::move(u));
-    }
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kPowerEvents); ++i) {
-    const auto view = reader.try_chunk(Table::kPowerEvents, i, &report);
-    if (!view) continue;
-    for (std::uint32_t r = 0; r < view->rows(); ++r) {
-      PowerEvent e = decode_power_event(*view, r);
-      if (!server_ok(e.server.value)) {
-        ++report.rows_dropped_dangling;
-        continue;
-      }
-      db.add_power_event(e);
-    }
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kSnapshots); ++i) {
-    const auto view = reader.try_chunk(Table::kSnapshots, i, &report);
-    if (!view) continue;
-    for (std::uint32_t r = 0; r < view->rows(); ++r) {
-      MonthlySnapshot s = decode_snapshot(*view, r);
-      if (!server_ok(s.server.value)) {
-        ++report.rows_dropped_dangling;
-        continue;
-      }
-      db.add_monthly_snapshot(s);
-    }
-  }
+  for_each_chunk(reader, Table::kTickets, report,
+                 [&](const ChunkView& view, std::int64_t first_row) {
+                   const TicketRows rows(view, first_row);
+                   for (std::uint32_t r = 0; r < view.rows(); ++r) {
+                     if (lost(rows.server[r])) {
+                       ++dangling;
+                       continue;
+                     }
+                     max_incident = std::max(max_incident, rows.incident[r]);
+                     db.add_ticket(rows.row(r));
+                   }
+                 });
+  load_monitoring<UsageRows>(
+      reader, Table::kWeeklyUsage, report, lost, dangling,
+      [&](const WeeklyUsage& u) { db.add_weekly_usage(u); });
+  load_monitoring<PowerRows>(
+      reader, Table::kPowerEvents, report, lost, dangling,
+      [&](const PowerEvent& e) { db.add_power_event(e); });
+  load_monitoring<SnapshotRows>(
+      reader, Table::kSnapshots, report, lost, dangling,
+      [&](const MonthlySnapshot& s) { db.add_monthly_snapshot(s); });
+  if (report != nullptr) report->rows_dropped_dangling += dangling;
+
+  // The incident counter covers every loaded ticket's incident even where
+  // the footer's counter falls short of it.
   const std::int32_t next_incident =
       std::max(reader.next_incident(), max_incident + 1);
   for (std::int32_t i = 0; i < next_incident; ++i) db.new_incident();

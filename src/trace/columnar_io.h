@@ -24,8 +24,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -101,8 +101,8 @@ struct DegradedReadReport {
   std::array<std::uint64_t, columnar::kTableCount> chunks_skipped{};
   std::array<std::uint64_t, columnar::kTableCount> rows_skipped{};
   std::array<std::uint64_t, kReadDefectCount> by_defect{};
-  // Rows dropped by the lenient loader because they referenced rows in
-  // skipped chunks (dangling ticket -> server references).
+  // Rows a degraded load_columnar dropped: servers after a skipped server
+  // chunk, and rows that name one of those lost servers.
   std::uint64_t rows_dropped_dangling = 0;
 
   void record(const ChunkError& error, std::uint32_t rows);
@@ -231,14 +231,9 @@ class ChunkReader {
   // Footer directory entry (min/max stats for pushdown) — no chunk IO.
   const columnar::ChunkInfo& chunk_info(columnar::Table table,
                                         std::size_t index) const;
-  // Decodes chunk `index` of `table`, verifying its checksum. Throws
-  // ChunkError on damage.
+  // Decodes chunk `index` of `table`, verifying its checksum and its
+  // values (ChunkView). Throws ChunkError on damage.
   columnar::ChunkView chunk(columnar::Table table, std::size_t index) const;
-  // Lenient variant: a damaged chunk yields std::nullopt instead of
-  // throwing, recorded in `report` (which may be nullptr).
-  std::optional<columnar::ChunkView> try_chunk(
-      columnar::Table table, std::size_t index,
-      DegradedReadReport* report) const;
 
   // Size/compression report reconstructed from the footer (no chunk IO).
   FileReport report() const;
@@ -271,18 +266,118 @@ void append_record(columnar::ChunkBuilder& builder, const WeeklyUsage& u);
 void append_record(columnar::ChunkBuilder& builder, const PowerEvent& e);
 void append_record(columnar::ChunkBuilder& builder, const MonthlySnapshot& s);
 
-// Decodes row `row` of a chunk into a record. `first_row_id` is the file-wide
-// row index of the chunk's first row (ids are implicit row positions).
-ServerRecord decode_server(const columnar::ChunkView& view, std::uint32_t row,
-                           std::int64_t first_row_id);
-Ticket decode_ticket(const columnar::ChunkView& view, std::uint32_t row,
-                     std::int64_t first_row_id);
-WeeklyUsage decode_weekly_usage(const columnar::ChunkView& view,
-                                std::uint32_t row);
-PowerEvent decode_power_event(const columnar::ChunkView& view,
-                              std::uint32_t row);
-MonthlySnapshot decode_snapshot(const columnar::ChunkView& view,
-                                std::uint32_t row);
+// ---- row decoders (shared by the loader, recovery and pushdown scans) ----
+
+// One decoder per table: typed spans over one chunk's columns, taken once
+// per chunk (the ChunkView must outlive the decoder), and row(r) to
+// assemble the record of chunk row r. ChunkView validated the enum
+// columns against their domains, so row() casts without checks. Servers
+// and tickets carry implicit ids: `first_id` is the table-wide row index
+// of the chunk's first row.
+struct ServerRows {
+  ServerRows(const columnar::ChunkView& view, std::int64_t first_id);
+  ServerRecord row(std::uint32_t r) const {
+    ServerRecord s;
+    s.id = ServerId{static_cast<std::int32_t>(first_id + r)};
+    s.type = static_cast<MachineType>(type[r]);
+    s.subsystem = subsystem[r];
+    s.cpu_count = cpu_count[r];
+    s.memory_gb = memory_gb[r];
+    if (disk_gb_col.present_at(r)) s.disk_gb = disk_gb[r];
+    if (disk_count_col.present_at(r)) s.disk_count = disk_count[r];
+    s.host_box = BoxId{host_box[r]};
+    s.first_record = first_record[r];
+    return s;
+  }
+
+  std::int64_t first_id;
+  std::span<const std::uint8_t> type, subsystem;
+  std::span<const std::int32_t> cpu_count;
+  std::span<const double> memory_gb;
+  const columnar::ColumnView& disk_gb_col;  // presence of disk_gb
+  std::span<const double> disk_gb;
+  const columnar::ColumnView& disk_count_col;  // presence of disk_count
+  std::span<const std::int32_t> disk_count, host_box;
+  std::span<const std::int64_t> first_record;
+};
+
+struct TicketRows {
+  TicketRows(const columnar::ChunkView& view, std::int64_t first_id);
+  Ticket row(std::uint32_t r) const {
+    Ticket t;
+    t.id = TicketId{static_cast<std::int32_t>(first_id + r)};
+    t.incident = IncidentId{incident[r]};
+    t.server = ServerId{server[r]};
+    t.subsystem = subsystem[r];
+    t.is_crash = is_crash[r] != 0;
+    t.true_class = static_cast<FailureClass>(true_class[r]);
+    t.opened = opened[r];
+    t.closed = closed[r];
+    t.description = std::string(description.string_at(r));
+    t.resolution = std::string(resolution.string_at(r));
+    return t;
+  }
+
+  std::int64_t first_id;
+  std::span<const std::int32_t> incident, server;
+  std::span<const std::uint8_t> subsystem, is_crash, true_class;
+  std::span<const std::int64_t> opened, closed;
+  const columnar::ColumnView& description;
+  const columnar::ColumnView& resolution;
+};
+
+struct UsageRows {
+  explicit UsageRows(const columnar::ChunkView& view);
+  WeeklyUsage row(std::uint32_t r) const {
+    WeeklyUsage u;
+    u.server = ServerId{server[r]};
+    u.week = week[r];
+    u.cpu_util = cpu_util[r];
+    u.mem_util = mem_util[r];
+    if (disk_util_col.present_at(r)) u.disk_util = disk_util[r];
+    if (net_kbps_col.present_at(r)) u.net_kbps = net_kbps[r];
+    return u;
+  }
+
+  std::span<const std::int32_t> server, week;
+  std::span<const double> cpu_util, mem_util;
+  const columnar::ColumnView& disk_util_col;  // presence of disk_util
+  std::span<const double> disk_util;
+  const columnar::ColumnView& net_kbps_col;  // presence of net_kbps
+  std::span<const double> net_kbps;
+};
+
+struct PowerRows {
+  explicit PowerRows(const columnar::ChunkView& view);
+  PowerEvent row(std::uint32_t r) const {
+    return {ServerId{server[r]}, at[r], powered_on[r] != 0};
+  }
+
+  std::span<const std::int32_t> server;
+  std::span<const std::int64_t> at;
+  std::span<const std::uint8_t> powered_on;
+};
+
+struct SnapshotRows {
+  explicit SnapshotRows(const columnar::ChunkView& view);
+  MonthlySnapshot row(std::uint32_t r) const {
+    return {ServerId{server[r]}, month[r], BoxId{box[r]}, consolidation[r]};
+  }
+
+  std::span<const std::int32_t> server, month, box, consolidation;
+};
+
+// ---- chunk walk ----
+
+// Calls fn(view, first_row) for every chunk of `table` in file order;
+// `first_row` is the table-wide index of the chunk's first row. Strict
+// when `report` is null: a damaged chunk throws its ChunkError. Otherwise
+// a damaged chunk is skipped and recorded in *report, and the chunks
+// after it keep their row positions.
+void for_each_chunk(
+    const ChunkReader& reader, columnar::Table table,
+    DegradedReadReport* report,
+    const std::function<void(const columnar::ChunkView&, std::int64_t)>& fn);
 
 // ---- whole-database convenience ----
 
@@ -294,18 +389,17 @@ void write_columnar(const TraceDatabase& db, ColumnarWriter& writer);
 FileReport save_columnar(const TraceDatabase& db, const std::string& path,
                          std::uint32_t chunk_rows = kDefaultChunkRows);
 
-// Loads a columnar file into a finalized in-memory database (the
-// compatibility path; see analysis/out_of_core.h for the streaming path).
-TraceDatabase load_columnar(const std::string& path, bool use_mmap = true);
-
-// Degraded-mode load: skips damaged chunks instead of throwing, recording
-// them in `report`. Skipping a chunk of an id-bearing table shifts nothing —
-// later chunks keep their original row positions — but rows referencing ids
-// inside skipped server chunks are dropped (counted as dangling). The
-// servers table keeps only its longest undamaged chunk prefix, because a
-// gap there would orphan every later positional id.
-TraceDatabase load_columnar_lenient(const std::string& path,
-                                    DegradedReadReport& report,
-                                    bool use_mmap = true);
+// Loads a columnar file into a finalized in-memory database (see
+// analysis/out_of_core.h for the streaming path). Strict when `report` is
+// null: any damaged chunk, or a value outside its column's domain, throws
+// a ChunkError naming the table, chunk and offset. With a report the load
+// degrades instead: damaged chunks are skipped and recorded, and later
+// chunks keep their row positions. Server ids are row positions, so a
+// skipped server chunk loses every server from it on (the servers table
+// keeps its longest undamaged chunk prefix), and rows that name a lost
+// server are dropped and counted as dangling. Every other row is kept
+// exactly as the strict load keeps it.
+TraceDatabase load_columnar(const std::string& path, bool use_mmap = true,
+                            DegradedReadReport* report = nullptr);
 
 }  // namespace fa::trace

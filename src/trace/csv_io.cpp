@@ -55,6 +55,17 @@ void check_field_count(const std::vector<std::string>& row,
   if (row.size() != fields) throw Error("load_database: bad row in " + path);
 }
 
+// Subsystem values index per-subsystem tables downstream, so one outside
+// [0, kSubsystemCount) is rejected here rather than cast to a Subsystem.
+Subsystem parse_subsystem(const std::string& field, const std::string& path) {
+  const std::int64_t v = parse_int(field);
+  if (v < 0 || v >= kSubsystemCount) {
+    throw Error("load_database: invalid subsystem '" + field + "' in " +
+                path);
+  }
+  return static_cast<Subsystem>(v);
+}
+
 }  // namespace
 
 const std::vector<std::string>& meta_header() {
@@ -258,7 +269,7 @@ TraceDatabase load_database(const std::string& directory) {
       check_field_count(row, 9, path);
       ServerRecord s;
       s.type = machine_type_from_string(row[1]);
-      s.subsystem = static_cast<Subsystem>(parse_int(row[2]));
+      s.subsystem = parse_subsystem(row[2], path);
       s.cpu_count = static_cast<int>(parse_int(row[3]));
       s.memory_gb = parse_finite_double(row[4]);
       s.disk_gb = field_to_opt_double(row[5]);
@@ -288,7 +299,7 @@ TraceDatabase load_database(const std::string& directory) {
       if (!row[2].empty()) {
         t.server = ServerId{static_cast<std::int32_t>(parse_int(row[2]))};
       }
-      t.subsystem = static_cast<Subsystem>(parse_int(row[3]));
+      t.subsystem = parse_subsystem(row[3], path);
       t.is_crash = parse_int(row[4]) != 0;
       t.true_class = failure_class_from_string(row[5]);
       t.opened = parse_int(row[6]);

@@ -130,24 +130,17 @@ std::vector<Ticket> TicketFilter::scan_columnar(
     scanned.add(1);
     const columnar::ChunkView view =
         reader.chunk(columnar::Table::kTickets, i);
+    const TicketRows rows(view, first_row);
     for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      using namespace columnar::col;
       // Cheap column probes first; decode the full row (strings) last.
-      if (crash_only_ && view.column(kTicketIsCrash).int_at(r) == 0) continue;
-      if (subsystem_ &&
-          view.column(kTicketSubsystem).int_at(r) != *subsystem_) {
-        continue;
-      }
-      const TimePoint opened = view.column(kTicketOpened).int_at(r);
+      if (crash_only_ && rows.is_crash[r] == 0) continue;
+      if (subsystem_ && rows.subsystem[r] != *subsystem_) continue;
+      const TimePoint opened = rows.opened[r];
       if (opened_begin_ && opened < *opened_begin_) continue;
       if (opened_end_ && opened >= *opened_end_) continue;
-      const auto server = static_cast<std::int32_t>(
-          view.column(kTicketServer).int_at(r));
+      const std::int32_t server = rows.server[r];
       if (server_ && server != server_->value) continue;
-      if (min_repair_ &&
-          view.column(kTicketClosed).int_at(r) - opened < *min_repair_) {
-        continue;
-      }
+      if (min_repair_ && rows.closed[r] - opened < *min_repair_) continue;
       if (machine_type_) {
         if (server < 0 ||
             static_cast<std::size_t>(server) >= server_types.size()) {
@@ -158,7 +151,7 @@ std::vector<Ticket> TicketFilter::scan_columnar(
           continue;
         }
       }
-      out.push_back(decode_ticket(view, r, first_row));
+      out.push_back(rows.row(r));
     }
     first_row += info.rows;
   }

@@ -218,42 +218,63 @@ SalvageReport recover_columnar(const std::string& in, const std::string& out) {
   io::CheckedReader reader(std::make_unique<io::PosixReadableFile>(in));
   std::int32_t max_incident = -1;
   std::array<std::int64_t, kTableCount> first_row{};
+  std::array<std::size_t, kTableCount> chunk_index{};
   for (const SalvagedChunkRef& ref : scan.chunks) {
+    const auto t = static_cast<std::size_t>(ref.table);
     std::vector<std::byte> payload(ref.payload_size);
     reader.read_at(ref.payload_offset, payload.data(), payload.size());
-    const ChunkInfo info = format::reconstruct_chunk_info(
-        ref.table, ref.rows, payload, in);
-    const ChunkView view(ref.table, info, nullptr, std::move(payload));
-    const auto t = static_cast<std::size_t>(ref.table);
+    // A salvaged chunk passed its frame checksum; a chunk whose blocks or
+    // values still fail to decode stops recovery at its location.
+    const ChunkView view = [&] {
+      try {
+        const ChunkInfo info = format::reconstruct_chunk_info(
+            ref.table, ref.rows, payload, in);
+        return ChunkView(ref.table, info, nullptr, std::move(payload));
+      } catch (const Error& e) {
+        throw ChunkError(in, ref.table, chunk_index[t], ref.payload_offset,
+                         ref.payload_size, ReadDefect::kDecodeError,
+                         e.what());
+      }
+    }();
     switch (ref.table) {
-      case Table::kServers:
+      case Table::kServers: {
+        const ServerRows rows(view, first_row[t]);
         for (std::uint32_t r = 0; r < view.rows(); ++r) {
-          writer.add_server(decode_server(view, r, first_row[t]));
+          writer.add_server(rows.row(r));
         }
         break;
-      case Table::kTickets:
+      }
+      case Table::kTickets: {
+        const TicketRows rows(view, first_row[t]);
         for (std::uint32_t r = 0; r < view.rows(); ++r) {
-          Ticket ticket = decode_ticket(view, r, first_row[t]);
-          max_incident = std::max(max_incident, ticket.incident.value);
-          writer.add_ticket(ticket);
+          max_incident = std::max(max_incident, rows.incident[r]);
+          writer.add_ticket(rows.row(r));
         }
         break;
-      case Table::kWeeklyUsage:
+      }
+      case Table::kWeeklyUsage: {
+        const UsageRows rows(view);
         for (std::uint32_t r = 0; r < view.rows(); ++r) {
-          writer.add_weekly_usage(decode_weekly_usage(view, r));
+          writer.add_weekly_usage(rows.row(r));
         }
         break;
-      case Table::kPowerEvents:
+      }
+      case Table::kPowerEvents: {
+        const PowerRows rows(view);
         for (std::uint32_t r = 0; r < view.rows(); ++r) {
-          writer.add_power_event(decode_power_event(view, r));
+          writer.add_power_event(rows.row(r));
         }
         break;
-      case Table::kSnapshots:
+      }
+      case Table::kSnapshots: {
+        const SnapshotRows rows(view);
         for (std::uint32_t r = 0; r < view.rows(); ++r) {
-          writer.add_monthly_snapshot(decode_snapshot(view, r));
+          writer.add_monthly_snapshot(rows.row(r));
         }
         break;
+      }
     }
+    ++chunk_index[t];
     first_row[t] += view.rows();
     report.rows_recovered += view.rows();
     ++report.chunks_recovered;

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -184,6 +185,35 @@ TEST_F(CsvInjectionTest, InvalidConsolidationRejected) {
   // Snapshot rows must carry consolidation >= 1 (finalize validation).
   inject("snapshots.csv", "0,1,0,0");
   EXPECT_THROW(load_database(dir()), Error);
+}
+
+// Subsystem values index per-subsystem tables downstream, so the strict
+// loader rejects one outside [0, kSubsystemCount) and names the file.
+TEST_F(CsvInjectionTest, OutOfRangeServerSubsystemRejected) {
+  const std::size_t servers = load_database(dir()).servers().size();
+  inject("servers.csv", std::to_string(servers) + ",PM,7,4,8.000,,,,0");
+  try {
+    load_database(dir());
+    FAIL() << "subsystem 7 loaded";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("subsystem '7'"), std::string::npos) << what;
+    EXPECT_NE(what.find("servers.csv"), std::string::npos) << what;
+  }
+}
+
+TEST_F(CsvInjectionTest, OutOfRangeTicketSubsystemRejected) {
+  const std::size_t tickets = load_database(dir()).tickets().size();
+  inject("tickets.csv",
+         std::to_string(tickets) + ",,,7,0,other,1000,2000,desc,res");
+  try {
+    load_database(dir());
+    FAIL() << "subsystem 7 loaded";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("subsystem '7'"), std::string::npos) << what;
+    EXPECT_NE(what.find("tickets.csv"), std::string::npos) << what;
+  }
 }
 
 TEST_F(CsvIoTest, CorruptHeaderThrows) {

@@ -164,5 +164,25 @@ TEST(ParallelFor, CoversEveryIndexOnce) {
   }
 }
 
+// A parallel_for inside a parallel_for item (serve_tenants runs simulate()'s
+// loops inside its tenant loop) must still run every inner index once.
+TEST(ParallelFor, NestedCallsCoverEveryIndexOnce) {
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 500;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    std::vector<int> hits(kOuter * kInner, 0);
+    pool.parallel_for(kOuter, [&](std::size_t o) {
+      pool.parallel_for(kInner,
+                        [&](std::size_t i) { ++hits[o * kInner + i]; });
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], 1) << "index " << i << " at " << threads
+                            << " threads";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fa

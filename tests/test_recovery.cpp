@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,7 +16,9 @@
 #include "src/analysis/out_of_core.h"
 #include "src/inject/io_faults.h"
 #include "src/sim/simulator.h"
+#include "src/trace/columnar_format.h"
 #include "src/trace/columnar_io.h"
+#include "src/trace/filters.h"
 #include "src/trace/trace_writer.h"
 #include "src/util/error.h"
 #include "src/util/thread_pool.h"
@@ -355,7 +358,7 @@ TEST_F(RecoveryTest, LenientReadEqualsStrictReadOnUndamagedFileAtAnyThreads) {
     ThreadPool::set_default_thread_count(threads);
     DegradedReadReport report;
     const TraceDatabase lenient =
-        load_columnar_lenient(path("clean.fac"), report);
+        load_columnar(path("clean.fac"), true, &report);
     EXPECT_FALSE(report.degraded());
     EXPECT_EQ(report.total_rows_skipped(), 0u);
 
@@ -385,6 +388,28 @@ TEST_F(RecoveryTest, LenientReadEqualsStrictReadOnUndamagedFileAtAnyThreads) {
   ThreadPool::set_default_thread_count(0);
 }
 
+TEST_F(RecoveryTest, LenientReadKeepsTicketsThatNameNoServer) {
+  // A non-crash ticket need not name a server; strict load, CSV export and
+  // convert all keep it, so an undamaged degraded read must keep it too.
+  TraceDatabase db;
+  db.add_server(ServerRecord{});
+  Ticket ticket;
+  ticket.opened = 1000;
+  ticket.closed = 2000;
+  ticket.description = "disk quota exceeded";
+  ticket.resolution = "quota raised";
+  db.add_ticket(ticket);
+  db.finalize();
+  save_columnar(db, path("serverless.fac"));
+
+  ASSERT_EQ(load_columnar(path("serverless.fac")).tickets().size(), 1u);
+  DegradedReadReport report;
+  const TraceDatabase lenient =
+      load_columnar(path("serverless.fac"), true, &report);
+  EXPECT_EQ(lenient.tickets().size(), 1u);
+  EXPECT_FALSE(report.degraded()) << report.to_string();
+}
+
 TEST_F(RecoveryTest, LenientReadSkipsDamagedChunksAndReportsThem) {
   ASSERT_FALSE(write_with_crash(torture_db(), "clean.fac", -1));
   std::string bytes = read_file(dir_ / "clean.fac");
@@ -402,7 +427,7 @@ TEST_F(RecoveryTest, LenientReadSkipsDamagedChunksAndReportsThem) {
   EXPECT_THROW(load_columnar(path("bad.fac")), Error);
 
   DegradedReadReport report;
-  const TraceDatabase lenient = load_columnar_lenient(path("bad.fac"), report);
+  const TraceDatabase lenient = load_columnar(path("bad.fac"), true, &report);
   EXPECT_TRUE(report.degraded());
   const auto t = static_cast<std::size_t>(columnar::Table::kTickets);
   EXPECT_EQ(report.chunks_skipped[t], 1u);
@@ -460,6 +485,186 @@ TEST_F(RecoveryTest, ChunkErrorNamesTableChunkAndOffset) {
                "columnar: t.fac: tickets chunk 3 at offset 4096 (512 B): "
                "chunk range escapes the file");
   EXPECT_EQ(truncated.defect(), ReadDefect::kTruncated);
+}
+
+// ---- forged values: every checksum re-signed, only the domain check left ----
+
+// Overwrites byte `at` of column block `column` in chunk `index` of
+// `table` (for a u8 column, the value of row `at`), then re-signs the
+// chunk's checksum in the footer directory and in its frame header, and
+// the footer's own checksum. The footer's min/max stats keep their old
+// values, so they still vouch for the chunk.
+std::string forge_byte(std::string bytes, columnar::Table table,
+                       std::size_t index, std::size_t column,
+                       std::uint64_t at, std::uint8_t value) {
+  auto* base = reinterpret_cast<std::byte*>(bytes.data());
+  const std::size_t tail = bytes.size() - format::kTailBytes;
+  std::uint64_t footer_size = 0;
+  std::memcpy(&footer_size, base + tail, sizeof(footer_size));
+  const std::size_t footer_start = tail - footer_size;
+  format::FooterImage image = format::parse_footer_payload(
+      base + footer_start, footer_size, footer_start, "forged");
+  columnar::ChunkInfo& chunk =
+      image.directory[static_cast<std::size_t>(table)][index];
+  base[chunk.columns[column].offset + at] = std::byte{value};
+  chunk.checksum = columnar::fnv1a(base + chunk.offset, chunk.size);
+  // The frame header ends with the payload checksum (columnar_format.h).
+  std::memcpy(base + chunk.offset - 8, &chunk.checksum, 8);
+  const std::vector<std::byte> footer =
+      format::serialize_footer_payload(image);
+  EXPECT_EQ(footer.size(), footer_size);
+  std::memcpy(base + footer_start, footer.data(), footer.size());
+  const std::uint64_t footer_checksum =
+      columnar::fnv1a(footer.data(), footer.size());
+  std::memcpy(base + tail + 8, &footer_checksum, 8);
+  return bytes;
+}
+
+TEST_F(RecoveryTest, ForgedTicketEnumFailsEveryReaderAtItsLocation) {
+  ASSERT_FALSE(write_with_crash(torture_db(), "clean.fac", -1));
+  const std::string clean = read_file(dir_ / "clean.fac");
+  const ChunkReader reader(path("clean.fac"));
+  const auto tickets = columnar::Table::kTickets;
+  ASSERT_GT(reader.chunk_count(tickets), 2u);
+  const columnar::ChunkInfo& victim = reader.chunk_info(tickets, 1);
+  const std::string location =
+      "tickets chunk 1 at offset " + std::to_string(victim.offset);
+
+  struct Forgery {
+    std::size_t column;
+    std::uint8_t value;
+    std::string detail;
+  };
+  for (const Forgery& forgery :
+       {Forgery{columnar::col::kTicketTrueClass, 200,
+                "tickets.true_class row 3 holds 200"},
+        Forgery{columnar::col::kTicketSubsystem, 9,
+                "tickets.subsystem row 3 holds 9"}}) {
+    SCOPED_TRACE(forgery.detail);
+    write_file(dir_ / "forged.fac", forge_byte(clean, tickets, 1,
+                                               forgery.column, 3,
+                                               forgery.value));
+    try {
+      load_columnar(path("forged.fac"));
+      FAIL() << "strict load accepted a forged value";
+    } catch (const ChunkError& e) {
+      EXPECT_EQ(e.defect(), ReadDefect::kDecodeError);
+      EXPECT_EQ(e.table(), tickets);
+      EXPECT_EQ(e.index(), 1u);
+      EXPECT_EQ(e.offset(), victim.offset);
+      const std::string what = e.what();
+      EXPECT_NE(what.find(location), std::string::npos) << what;
+      EXPECT_NE(what.find(forgery.detail), std::string::npos) << what;
+    }
+    // The pushdown scan and recovery decode through the same check.
+    EXPECT_THROW(TicketFilter().scan_columnar(ChunkReader(path("forged.fac"))),
+                 ChunkError);
+    try {
+      recover_columnar(path("forged.fac"), path("recovered.fac"));
+      FAIL() << "recovery accepted a forged value";
+    } catch (const ChunkError& e) {
+      EXPECT_EQ(e.index(), 1u);
+      EXPECT_EQ(e.offset(), victim.offset);
+      EXPECT_EQ(e.defect(), ReadDefect::kDecodeError);
+    }
+
+    // A degraded read skips and records the chunk instead.
+    DegradedReadReport report;
+    const TraceDatabase partial =
+        load_columnar(path("forged.fac"), true, &report);
+    const auto t = static_cast<std::size_t>(tickets);
+    EXPECT_EQ(report.chunks_skipped[t], 1u);
+    EXPECT_EQ(report.rows_skipped[t], victim.rows);
+    EXPECT_EQ(report.by_defect[static_cast<std::size_t>(
+                  ReadDefect::kDecodeError)],
+              1u);
+    EXPECT_EQ(partial.tickets().size(),
+              reader.row_count(tickets) - victim.rows);
+    for (const Ticket& ticket : partial.tickets()) {
+      ASSERT_LT(static_cast<int>(ticket.true_class), kFailureClassCount);
+      ASSERT_LT(ticket.subsystem, kSubsystemCount);
+    }
+  }
+}
+
+TEST_F(RecoveryTest, ForgedServerSubsystemFailsTheSummaryAtItsLocation) {
+  // Small chunks, so the servers table spans several.
+  save_columnar(torture_db(), path("clean.fac"), 64);
+  const ChunkReader reader(path("clean.fac"));
+  const auto servers = columnar::Table::kServers;
+  ASSERT_GT(reader.chunk_count(servers), 1u);
+  const columnar::ChunkInfo& victim = reader.chunk_info(servers, 1);
+  write_file(dir_ / "forged.fac",
+             forge_byte(read_file(dir_ / "clean.fac"), servers, 1,
+                        columnar::col::kServerSubsystem, 0, 9));
+
+  try {
+    analysis::summarize_columnar(path("forged.fac"));
+    FAIL() << "summary accepted a forged subsystem";
+  } catch (const ChunkError& e) {
+    EXPECT_EQ(e.defect(), ReadDefect::kDecodeError);
+    EXPECT_EQ(e.table(), servers);
+    EXPECT_EQ(e.index(), 1u);
+    EXPECT_EQ(e.offset(), victim.offset);
+    EXPECT_NE(std::string(e.what()).find("servers.subsystem row 0 holds 9"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(load_columnar(path("forged.fac")), ChunkError);
+
+  // Degraded, the summary leaves the chunk's servers out, and the load
+  // keeps the server prefix before it.
+  const auto s = static_cast<std::size_t>(servers);
+  DegradedReadReport summary_report;
+  const analysis::OutOfCoreSummary partial =
+      analysis::summarize_columnar(path("forged.fac"), true, &summary_report);
+  EXPECT_EQ(summary_report.chunks_skipped[s], 1u);
+  EXPECT_EQ(partial.servers, reader.row_count(servers) - victim.rows);
+  DegradedReadReport load_report;
+  const TraceDatabase prefix =
+      load_columnar(path("forged.fac"), true, &load_report);
+  EXPECT_EQ(load_report.chunks_skipped[s], 1u);
+  EXPECT_EQ(prefix.servers().size(), reader.chunk_info(servers, 0).rows);
+}
+
+TEST_F(RecoveryTest, ForgedDictionaryFailsTheLoadAtItsLocation) {
+  ASSERT_FALSE(write_with_crash(torture_db(), "clean.fac", -1));
+  const std::string clean = read_file(dir_ / "clean.fac");
+  const ChunkReader reader(path("clean.fac"));
+  const auto tickets = columnar::Table::kTickets;
+  const columnar::ChunkInfo& victim = reader.chunk_info(tickets, 1);
+  const columnar::ColumnBlockInfo& block =
+      victim.columns[columnar::col::kTicketDescription];
+  ASSERT_GE(block.extra, 2u);
+
+  // A dictionary block is u32 count | u32 offsets[count + 1] | bytes |
+  // u32 indices[rows] (chunk.h). Byte 11 is the high byte of offsets[1],
+  // which would end slot 0 about 2 GB past the blob; the block's last byte
+  // is the high byte of the last row's index.
+  struct Forgery {
+    std::uint64_t at;
+    std::string detail;
+  };
+  for (const Forgery& forgery :
+       {Forgery{11, "dictionary offsets decrease"},
+        Forgery{block.size - 1, "dictionary index out of range"}}) {
+    SCOPED_TRACE(forgery.detail);
+    write_file(dir_ / "forged.fac",
+               forge_byte(clean, tickets, 1,
+                          columnar::col::kTicketDescription, forgery.at,
+                          0x7f));
+    try {
+      load_columnar(path("forged.fac"));
+      FAIL() << "strict load accepted a forged dictionary";
+    } catch (const ChunkError& e) {
+      EXPECT_EQ(e.defect(), ReadDefect::kDecodeError);
+      EXPECT_EQ(e.index(), 1u);
+      EXPECT_EQ(e.offset(), victim.offset);
+      EXPECT_NE(std::string(e.what()).find(forgery.detail),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- mmap-failure fallback (satellite: forced buffered mode) ----

@@ -387,10 +387,10 @@ int cmd_report(const std::string& dir, bool lenient, double scale) {
     ctx = analyzed(
         sim::simulate(sim::SimulationConfig::paper_defaults().scaled(scale)));
   } else if (lenient && trace::is_columnar_file(dir)) {
-    // Storage-level leniency: skip checksum-failing chunks, report what was
+    // Storage-level leniency: skip damaged chunks, report what was
     // lost and analyze the surviving rows (clearly marked as partial).
     trace::DegradedReadReport degraded;
-    trace::TraceDatabase db = trace::load_columnar_lenient(dir, degraded);
+    trace::TraceDatabase db = trace::load_columnar(dir, true, &degraded);
     std::cout << degraded.to_string();
     if (degraded.degraded()) {
       std::cout << "warning: analysis below covers PARTIAL DATA; recover "
