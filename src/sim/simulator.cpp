@@ -25,6 +25,17 @@ void simulate_to(const SimulationConfig& config, trace::TraceWriter& writer) {
   {
     obs::Span phase("sim.build_fleet");
     fleet = build_fleet(config, fleet_rng);
+    // Announce the table sizes before the first record: exact for servers
+    // and the monitoring tables, the Table II budget for tickets. Power
+    // events are Poisson draws and stay unannounced.
+    trace::ExpectedRows expected;
+    expected.servers = fleet.servers.size();
+    for (const PopulationSpec& sys : config.systems) {
+      expected.tickets += static_cast<std::size_t>(sys.all_tickets);
+    }
+    expected.weekly_usage = weekly_usage_rows(fleet);
+    expected.snapshots = snapshot_rows(fleet);
+    writer.expect_rows(expected);
     for (const trace::ServerRecord& s : fleet.servers) {
       const trace::ServerId assigned = writer.add_server(s);
       require(assigned == s.id, "simulate: fleet/writer id mismatch");

@@ -15,9 +15,12 @@ namespace fa::sim {
 // given config (including its seed) at any thread count; peak memory is
 // bounded by the fleet plus one render block, not by the emitted tables,
 // so large fleets can stream straight to disk via ColumnarTraceWriter.
+// Before the first record it announces the table sizes through
+// writer.expect_rows().
 void simulate_to(const SimulationConfig& config, trace::TraceWriter& writer);
 
-// Convenience wrapper: simulate into an in-memory database and finalize it.
+// Convenience wrapper: simulate into an in-memory database, whose tables
+// are reserved once from the announced sizes, and finalize it.
 trace::TraceDatabase simulate(const SimulationConfig& config);
 
 }  // namespace fa::sim

@@ -17,7 +17,49 @@ double clamp_util(double v) { return std::clamp(v, 0.1, 100.0); }
 // to disk. Streams are keyed by server id: block size cannot affect output.
 constexpr std::size_t kServerBlock = 4096;
 
+// The monitoring tables' visibility rule: a machine has a row for every
+// period of the ticket year that ends after its first record. Returns the
+// first such period of `periods` periods of `length` minutes (`periods`
+// when none); the rows run from it to the end of the year.
+int first_visible(const trace::ServerRecord& s, Duration length,
+                  int periods) {
+  const Duration since = s.first_record - ticket_window().begin;
+  if (since < 0) return 0;
+  return static_cast<int>(std::min<Duration>(since / length, periods));
+}
+
+// Usage rows cover weeks [first_usage_week(s), week_count()).
+int first_usage_week(const trace::ServerRecord& s) {
+  return first_visible(s, kMinutesPerWeek, ticket_window().week_count());
+}
+
+// Snapshots cover months [first_snapshot_month(s), month_count()); VMs
+// only, so a PM's range is empty.
+int first_snapshot_month(const trace::ServerRecord& s) {
+  const int months = ticket_window().month_count();
+  if (s.type != trace::MachineType::kVirtual) return months;
+  return first_visible(s, kMinutesPerMonth, months);
+}
+
 }  // namespace
+
+std::size_t weekly_usage_rows(const Fleet& fleet) {
+  const int weeks = ticket_window().week_count();
+  std::size_t rows = 0;
+  for (const trace::ServerRecord& s : fleet.servers) {
+    rows += static_cast<std::size_t>(weeks - first_usage_week(s));
+  }
+  return rows;
+}
+
+std::size_t snapshot_rows(const Fleet& fleet) {
+  const int months = ticket_window().month_count();
+  std::size_t rows = 0;
+  for (const trace::ServerRecord& s : fleet.servers) {
+    rows += static_cast<std::size_t>(months - first_snapshot_month(s));
+  }
+  return rows;
+}
 
 void emit_weekly_usage(const SimulationConfig& config, const Fleet& fleet,
                        trace::TraceWriter& writer) {
@@ -37,10 +79,7 @@ void emit_weekly_usage(const SimulationConfig& config, const Fleet& fleet,
       rows[j].clear();
       Rng rng = stream_rng(config.seed, SeedStream::kWeeklyUsage,
                            static_cast<std::uint64_t>(s.id.value));
-      for (int w = 0; w < weeks; ++w) {
-        const TimePoint week_end =
-            year.begin + static_cast<Duration>(w + 1) * kMinutesPerWeek;
-        if (s.first_record >= week_end) continue;  // VM not yet visible
+      for (int w = first_usage_week(s); w < weeks; ++w) {
         trace::WeeklyUsage u;
         u.server = s.id;
         u.week = w;
@@ -70,12 +109,8 @@ void emit_monthly_snapshots(const Fleet& fleet, trace::TraceWriter& writer) {
   const int months = year.month_count();
   for (std::size_t i = 0; i < fleet.servers.size(); ++i) {
     const trace::ServerRecord& s = fleet.servers[i];
-    if (s.type != trace::MachineType::kVirtual) continue;
     const MachineProfile& p = fleet.profiles[i];
-    for (int m = 0; m < months; ++m) {
-      const TimePoint month_end =
-          year.begin + static_cast<Duration>(m + 1) * kMinutesPerMonth;
-      if (s.first_record >= month_end) continue;
+    for (int m = first_snapshot_month(s); m < months; ++m) {
       trace::MonthlySnapshot snap;
       snap.server = s.id;
       snap.month = m;

@@ -22,6 +22,12 @@ void emit_weekly_usage(const SimulationConfig& config, const Fleet& fleet,
 // Monthly (box, consolidation) snapshots for every VM existing that month.
 void emit_monthly_snapshots(const Fleet& fleet, trace::TraceWriter& writer);
 
+// The rows emit_weekly_usage and emit_monthly_snapshots write for `fleet`,
+// counted by the visibility rule the two emitters apply, so a writer can
+// be told the table sizes before generation (TraceWriter::expect_rows).
+std::size_t weekly_usage_rows(const Fleet& fleet);
+std::size_t snapshot_rows(const Fleet& fleet);
+
 // Power off/on event pairs for VMs inside the fine-grained on/off window,
 // with Poisson cycle counts matching each VM's monthly on/off frequency.
 // One RNG stream per server, generated in parallel blocks.

@@ -585,6 +585,21 @@ ChunkView ChunkReader::chunk(Table table, std::size_t index) const {
   return decode(base, std::move(owned));
 }
 
+void ChunkReader::release(Table table, std::size_t index) const {
+  const ChunkInfo& info = chunk_info(table, index);
+  // Buffered views free their own copy; a chunk starting past the end of
+  // a truncated file touched no page.
+  if (mapping_ == nullptr || info.offset >= mapping_size_) return;
+  static const auto page =
+      static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t begin = info.offset / page * page;
+  const std::uint64_t end =
+      info.offset + std::min(info.size, mapping_size_ - info.offset);
+  // Best effort: should madvise fail, the pages merely stay resident.
+  ::madvise(const_cast<std::byte*>(mapping_) + begin, end - begin,
+            MADV_DONTNEED);
+}
+
 FileReport ChunkReader::report() const {
   return build_report(directory_, row_counts_, footer_bytes_);
 }
@@ -710,6 +725,7 @@ void for_each_chunk(
       report->record(e, rows);
     }
     if (view) fn(*view, first_row);
+    reader.release(table, i);
     first_row += rows;
   }
 }

@@ -200,10 +200,13 @@ class ColumnarWriter {
 // Opens a columnar file, validates header/tail/footer, and decodes chunks
 // on demand. Prefers mmap (zero-copy column views into the mapping); falls
 // back to buffered pread reads when mapping fails or `use_mmap` is false,
-// in which case each ChunkView owns a copy of just its chunk — memory
-// stays bounded by chunk size either way. Every chunk() call verifies the
-// chunk's checksum before returning a view; failures throw ChunkError
-// naming the table, chunk index and file offset.
+// in which case each ChunkView owns a copy of just its chunk and frees it
+// with the view. A mapped chunk stays resident until release(); the chunk
+// walks (for_each_chunk, TicketFilter::scan_columnar) release each chunk
+// once they are done with it, so either way they keep about one chunk
+// resident. Every chunk() call verifies the chunk's checksum before
+// returning a view; failures throw ChunkError naming the table, chunk
+// index and file offset.
 class ChunkReader {
  public:
   explicit ChunkReader(const std::string& path, bool use_mmap = true);
@@ -234,6 +237,12 @@ class ChunkReader {
   // Decodes chunk `index` of `table`, verifying its checksum and its
   // values (ChunkView). Throws ChunkError on damage.
   columnar::ChunkView chunk(columnar::Table table, std::size_t index) const;
+  // Drops the resident pages of chunk `index` of `table` from the mapping
+  // (madvise MADV_DONTNEED over the pages the chunk touches); a no-op in
+  // buffered mode. The mapping stays valid: it is private and read-only,
+  // so a later access, through a view still alive or a new chunk() call,
+  // re-faults the same bytes from the page cache.
+  void release(columnar::Table table, std::size_t index) const;
 
   // Size/compression report reconstructed from the footer (no chunk IO).
   FileReport report() const;
@@ -373,7 +382,8 @@ struct SnapshotRows {
 // `first_row` is the table-wide index of the chunk's first row. Strict
 // when `report` is null: a damaged chunk throws its ChunkError. Otherwise
 // a damaged chunk is skipped and recorded in *report, and the chunks
-// after it keep their row positions.
+// after it keep their row positions. Each chunk is released
+// (ChunkReader::release) once fn returns, or once it is found damaged.
 void for_each_chunk(
     const ChunkReader& reader, columnar::Table table,
     DegradedReadReport* report,

@@ -107,13 +107,13 @@ std::vector<Ticket> TicketFilter::scan_columnar(
   std::vector<std::uint8_t> server_types;
   if (machine_type_) {
     server_types.reserve(reader.row_count(columnar::Table::kServers));
-    const std::size_t chunks = reader.chunk_count(columnar::Table::kServers);
-    for (std::size_t i = 0; i < chunks; ++i) {
-      const columnar::ChunkView view =
-          reader.chunk(columnar::Table::kServers, i);
-      const auto types = view.column(columnar::col::kServerType).u8_span();
-      server_types.insert(server_types.end(), types.begin(), types.end());
-    }
+    for_each_chunk(reader, columnar::Table::kServers, nullptr,
+                   [&](const columnar::ChunkView& view, std::int64_t) {
+                     const auto types =
+                         view.column(columnar::col::kServerType).u8_span();
+                     server_types.insert(server_types.end(), types.begin(),
+                                         types.end());
+                   });
   }
 
   std::vector<Ticket> out;
@@ -153,6 +153,7 @@ std::vector<Ticket> TicketFilter::scan_columnar(
       }
       out.push_back(rows.row(r));
     }
+    reader.release(columnar::Table::kTickets, i);
     first_row += info.rows;
   }
   return out;

@@ -44,11 +44,13 @@ class TicketFilter {
   bool chunk_may_match(const columnar::ChunkInfo& info) const;
 
   // Scans the ticket table of a columnar file chunk-at-a-time, skipping
-  // chunks via chunk_may_match and materializing matching tickets only.
-  // Skipped/scanned chunk counts land in the deterministic counters
-  // fa.trace.pushdown.chunks_skipped / .chunks_scanned. A machine_type()
-  // predicate reads the servers table once (one byte of state per server);
-  // everything else needs no server-side state at all.
+  // chunks via chunk_may_match and materializing matching tickets only;
+  // each scanned chunk is released once its rows are copied out
+  // (ChunkReader::release). Skipped/scanned chunk counts land in the
+  // deterministic counters fa.trace.pushdown.chunks_skipped /
+  // .chunks_scanned. A machine_type() predicate reads the servers table
+  // once (one byte of state per server); everything else needs no
+  // server-side state at all.
   std::vector<Ticket> scan_columnar(const ChunkReader& reader) const;
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -16,6 +18,7 @@ using columnar::ChunkView;
 using columnar::Table;
 using columnar::fnv1a;
 using columnar::kTableCount;
+namespace fs = std::filesystem;
 
 obs::Counter& chunks_salvaged_counter() {
   static obs::Counter& c = obs::counter("fa.trace.recovery.chunks_salvaged");
@@ -197,14 +200,13 @@ SalvageScan scan_columnar_salvage(const std::string& path) {
   return scan;
 }
 
-SalvageReport recover_columnar(const std::string& in, const std::string& out) {
-  obs::Span span("trace.recovery.recover");
-  SalvageReport report;
-  report.scan = scan_columnar_salvage(in);
-  const SalvageScan& scan = report.scan;
-  require(scan.header_ok, "columnar: " + in + " cannot be salvaged: " +
-                              scan.stop_reason);
+namespace {
 
+// Re-encodes the chunks report.scan found in `in` into a finished columnar
+// file at `out`, counting what it wrote into `report`.
+void write_salvage(const std::string& in, const std::string& out,
+                   SalvageReport& report) {
+  const SalvageScan& scan = report.scan;
   WriterOptions options;
   options.chunk_rows =
       scan.chunk_rows > 0 ? scan.chunk_rows : kDefaultChunkRows;
@@ -283,6 +285,32 @@ SalvageReport recover_columnar(const std::string& in, const std::string& out) {
   }
   writer.set_next_incident(std::max(scan.next_incident, max_incident + 1));
   writer.finish();
+}
+
+}  // namespace
+
+SalvageReport recover_columnar(const std::string& in, const std::string& out) {
+  obs::Span span("trace.recovery.recover");
+  SalvageReport report;
+  report.scan = scan_columnar_salvage(in);
+  require(report.scan.header_ok, "columnar: " + in +
+                                     " cannot be salvaged: " +
+                                     report.scan.stop_reason);
+
+  // The salvage goes to a file beside `out` that replaces it only once it
+  // is finished, so a recovery that fails part way leaves `out` as it was.
+  const std::string partial = out + ".partial";
+  try {
+    write_salvage(in, partial, report);
+    std::error_code error;
+    fs::rename(partial, out, error);
+    require(!error, "columnar: cannot rename " + partial + " to " + out +
+                        ": " + error.message());
+  } catch (...) {
+    std::error_code ignored;
+    fs::remove(partial, ignored);
+    throw;
+  }
   return report;
 }
 

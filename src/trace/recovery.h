@@ -85,7 +85,10 @@ struct SalvageReport {
 // recover(x)). Windows/incident counter come from the last checkpoint (or
 // the footer of an already-finished file); chunk size from the same source,
 // falling back to kDefaultChunkRows. Throws fa::Error when `in` has no
-// salvageable columnar header at all.
+// salvageable columnar header at all. The file is written as `out` +
+// ".partial" and renamed over `out` once finished; when anything throws
+// (a salvaged chunk that fails to decode, say), the partial file is
+// removed and an existing `out` keeps its bytes.
 SalvageReport recover_columnar(const std::string& in, const std::string& out);
 
 }  // namespace fa::trace

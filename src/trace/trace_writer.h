@@ -27,9 +27,24 @@
 
 namespace fa::trace {
 
+// Row counts a producer announces before its first record, so that a sink
+// can size its tables once. 0 means not announced; `tickets` is a budget
+// the producer may exceed.
+struct ExpectedRows {
+  std::size_t servers = 0;
+  std::size_t tickets = 0;
+  std::size_t weekly_usage = 0;
+  std::size_t power_events = 0;
+  std::size_t snapshots = 0;
+};
+
 class TraceWriter {
  public:
   virtual ~TraceWriter() = default;
+
+  // Called at most once, before the first record. The default ignores it:
+  // a streaming sink's memory does not grow with the tables.
+  virtual void expect_rows(const ExpectedRows& /*rows*/) {}
 
   // Assign ids (contiguous append order) and forward to the sink.
   ServerId add_server(ServerRecord record);
@@ -85,6 +100,11 @@ class DatabaseTraceWriter final : public TraceWriter {
  public:
   explicit DatabaseTraceWriter(TraceDatabase& db) : db_(db) {}
 
+  // Reserves every announced table, so none grows by reallocation.
+  void expect_rows(const ExpectedRows& rows) override {
+    db_.reserve(rows.servers, rows.tickets, rows.weekly_usage,
+                rows.power_events, rows.snapshots);
+  }
   IncidentId new_incident() override { return db_.new_incident(); }
   void set_windows(ObservationWindow ticket, ObservationWindow monitoring,
                    ObservationWindow onoff_tracking) override {

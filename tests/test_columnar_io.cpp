@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -492,6 +494,71 @@ TEST_F(ColumnarIoTest, PushdownSkipsChunksThatCannotMatch) {
         one.chunk_may_match(reader.chunk_info(columnar::Table::kTickets, c));
   }
   EXPECT_LE(may_match, chunks);
+}
+
+// ---- resident memory of chunk walks ----
+
+// Resident file-backed memory of this process in KB (RssFile in
+// /proc/self/status, Linux 4.5 on), or -1 where the kernel does not
+// report it.
+long rss_file_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("RssFile:", 0) == 0) return std::stol(line.substr(8));
+  }
+  return -1;
+}
+
+// A mapped chunk is released once a walk is done with it, so a full walk
+// and a pushdown scan each leave about one chunk resident, not the file.
+// The default chunk size matters: the kernel maps pages around each fault
+// (fault-around), and with 8,192-row chunks the pages this brings back
+// next to already released chunks add up to about 1.3 MB, more than half
+// of such a chunk.
+TEST_F(ColumnarIoTest, ChunkWalksKeepOneChunkResident) {
+  {
+    ColumnarTraceWriter writer(path("trace.fac"));
+    sim::simulate_to(sim::SimulationConfig::paper_defaults().scaled(0.5),
+                     writer);
+  }
+  const auto walk_every_table = [](const ChunkReader& reader) {
+    for (const columnar::Table table : columnar::kAllTables) {
+      for_each_chunk(reader, table, nullptr,
+                     [](const columnar::ChunkView&, std::int64_t) {});
+    }
+  };
+  std::uint64_t largest_chunk = 0;
+  {
+    // Warm the decode path, so that neither measurement below pays for
+    // first-touched code pages.
+    const ChunkReader warm(path("trace.fac"));
+    for (const columnar::Table table : columnar::kAllTables) {
+      for (std::size_t i = 0; i < warm.chunk_count(table); ++i) {
+        largest_chunk =
+            std::max(largest_chunk, warm.chunk_info(table, i).size);
+      }
+    }
+    walk_every_table(warm);
+    TicketFilter().scan_columnar(warm);
+  }
+  ASSERT_GT(largest_chunk, 1u << 20);
+  ASSERT_GE(rss_file_kb(), 0) << "no RssFile in /proc/self/status";
+  const long bound_kb = static_cast<long>(largest_chunk / 2 / 1024);
+
+  const long before_walk = rss_file_kb();
+  const ChunkReader walked(path("trace.fac"));
+  ASSERT_TRUE(walked.mmapped());
+  walk_every_table(walked);
+  EXPECT_LT(rss_file_kb() - before_walk, bound_kb)
+      << "a walk over " << fs::file_size(path("trace.fac")) << " B";
+
+  const long before_scan = rss_file_kb();
+  const ChunkReader scanned(path("trace.fac"));
+  ASSERT_FALSE(TicketFilter().scan_columnar(scanned).empty());
+  EXPECT_LT(rss_file_kb() - before_scan, bound_kb)
+      << "a scan of " << scanned.row_count(columnar::Table::kTickets)
+      << " tickets";
 }
 
 // ---- out-of-core aggregation (analysis/out_of_core.h) ----

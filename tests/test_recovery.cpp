@@ -212,6 +212,10 @@ TEST_F(RecoveryTest, RecoveryIsIdempotent) {
   recover_columnar(path("r1.fac"), path("r2.fac"));
   EXPECT_EQ(read_file(dir_ / "r1.fac"), read_file(dir_ / "r2.fac"))
       << "recover(recover(x)) != recover(x)";
+
+  // OUT replaces IN only once it is finished, so recovery in place works.
+  recover_columnar(path("crashed.fac"), path("crashed.fac"));
+  EXPECT_EQ(read_file(dir_ / "crashed.fac"), read_file(dir_ / "r1.fac"));
 }
 
 TEST_F(RecoveryTest, RecoveringAFinishedFileLosesNothing) {
@@ -559,6 +563,9 @@ TEST_F(RecoveryTest, ForgedTicketEnumFailsEveryReaderAtItsLocation) {
     // The pushdown scan and recovery decode through the same check.
     EXPECT_THROW(TicketFilter().scan_columnar(ChunkReader(path("forged.fac"))),
                  ChunkError);
+    // A failed recovery leaves an existing OUT as it was, and nothing
+    // beside it.
+    write_file(dir_ / "recovered.fac", clean);
     try {
       recover_columnar(path("forged.fac"), path("recovered.fac"));
       FAIL() << "recovery accepted a forged value";
@@ -566,6 +573,14 @@ TEST_F(RecoveryTest, ForgedTicketEnumFailsEveryReaderAtItsLocation) {
       EXPECT_EQ(e.index(), 1u);
       EXPECT_EQ(e.offset(), victim.offset);
       EXPECT_EQ(e.defect(), ReadDefect::kDecodeError);
+    }
+    EXPECT_TRUE(read_file(dir_ / "recovered.fac") == clean)
+        << "recovery overwrote OUT before it failed";
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir_)) {
+      const std::string name = entry.path().filename().string();
+      EXPECT_TRUE(name == "clean.fac" || name == "forged.fac" ||
+                  name == "recovered.fac")
+          << "left behind: " << name;
     }
 
     // A degraded read skips and records the chunk instead.

@@ -1,5 +1,9 @@
 // End-to-end simulator integration tests: the scaled-down trace must already
 // exhibit the paper's headline phenomena.
+#include <cstddef>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/analysis/failure_rates.h"
@@ -103,6 +107,82 @@ TEST(Simulator, CrashTicketsAreMinorityOfAllTickets) {
 TEST(Simulator, FinalizedAndQueryable) {
   EXPECT_TRUE(db().finalized());
   EXPECT_FALSE(db().incidents().empty());
+}
+
+std::size_t total(const trace::ExpectedRows& r) {
+  return r.servers + r.tickets + r.weekly_usage + r.power_events +
+         r.snapshots;
+}
+
+// Keeps the row counts simulate_to announces and counts the rows it then
+// emits, table by table.
+class RecordingWriter final : public trace::TraceWriter {
+ public:
+  void expect_rows(const trace::ExpectedRows& rows) override {
+    ++announcements;
+    rows_before_announcement = total(received);
+    announced = rows;
+  }
+  void set_windows(ObservationWindow, ObservationWindow,
+                   ObservationWindow) override {}
+  void finish() override {}
+
+  int announcements = 0;
+  std::size_t rows_before_announcement = 0;
+  trace::ExpectedRows announced;
+  trace::ExpectedRows received;
+
+ protected:
+  void do_add_server(const trace::ServerRecord&) override {
+    ++received.servers;
+  }
+  void do_add_ticket(trace::Ticket) override { ++received.tickets; }
+  void do_add_weekly_usage(const trace::WeeklyUsage&) override {
+    ++received.weekly_usage;
+  }
+  void do_add_power_event(const trace::PowerEvent&) override {
+    ++received.power_events;
+  }
+  void do_add_monthly_snapshot(const trace::MonthlySnapshot&) override {
+    ++received.snapshots;
+  }
+};
+
+TEST(Simulator, AnnouncedRowCountsMatchEmittedRows) {
+  for (const double scale : {0.02, 0.1}) {
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7}}) {
+      SCOPED_TRACE("scale " + std::to_string(scale) + " seed " +
+                   std::to_string(seed));
+      auto config = SimulationConfig::paper_defaults().scaled(scale);
+      config.seed = seed;
+      RecordingWriter writer;
+      simulate_to(config, writer);
+      ASSERT_EQ(writer.announcements, 1);
+      EXPECT_EQ(writer.rows_before_announcement, 0u);
+      const trace::ExpectedRows& a = writer.announced;
+      const trace::ExpectedRows& r = writer.received;
+      EXPECT_EQ(a.servers, r.servers);
+      EXPECT_EQ(a.weekly_usage, r.weekly_usage);
+      EXPECT_EQ(a.snapshots, r.snapshots);
+      EXPECT_GT(r.weekly_usage, 0u);
+      EXPECT_GT(r.snapshots, 0u);
+      // Tickets are announced as the Table II budget. Background tickets
+      // fill each subsystem up to it, so only crash tickets overrunning a
+      // subsystem's budget could exceed it; at these configs none do.
+      EXPECT_EQ(r.tickets, a.tickets);
+      // Power events are Poisson draws and stay unannounced.
+      EXPECT_EQ(a.power_events, 0u);
+    }
+  }
+}
+
+// simulate() reserves the announced tables once, so none of them carries
+// the slack a growing vector leaves.
+TEST(Simulator, SimulateSizesItsTablesOnce) {
+  const auto db = simulate(SimulationConfig::paper_defaults().scaled(0.1));
+  EXPECT_EQ(db.servers().capacity(), db.servers().size());
+  EXPECT_EQ(db.tickets().capacity(), db.tickets().size());
+  EXPECT_EQ(db.weekly_usage().capacity(), db.weekly_usage().size());
 }
 
 }  // namespace
