@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,25 +58,25 @@ std::array<int, trace::kSubsystemCount> emit_crash_tickets(
 
   // Parallel rendering in blocks: each failure event renders its ticket (or
   // its monitoring loss) from a private stream into its own slot, then the
-  // block commits serially — ticket ids follow event order, as before.
+  // block commits serially — ticket ids follow event order, as before. The
+  // slots are reused from block to block, so a sink that only reads the
+  // tickets leaves their text buffers to the next block.
   std::array<int, trace::kSubsystemCount> crash_count{};
-  std::vector<std::optional<trace::Ticket>> rendered(
-      std::min(kRenderBlock, events.size()));
-  std::vector<trace::Ticket> batch;
-  batch.reserve(rendered.size());
+  std::vector<trace::Ticket> rendered(std::min(kRenderBlock, events.size()));
+  std::vector<char> filed(rendered.size());
   for (std::size_t block = 0; block < events.size(); block += kRenderBlock) {
     const std::size_t n = std::min(kRenderBlock, events.size() - block);
     parallel_for(n, [&](std::size_t j) {
       const std::size_t i = block + j;
       const FailureEvent& e = events[i];
-      rendered[j].reset();
       Rng rng = stream_rng(config.seed, SeedStream::kCrashTicket, i);
-      if (loss_eligible[i] &&
-          rng.bernoulli(config.monitoring_loss_probability)) {
-        return;  // the monitoring server itself was down; ticket never filed
-      }
+      filed[j] = !(loss_eligible[i] &&
+                   rng.bernoulli(config.monitoring_loss_probability));
+      // A lost ticket: the monitoring server itself was down, so the ticket
+      // was never filed.
+      if (!filed[j]) return;
 
-      trace::Ticket t;
+      trace::Ticket& t = rendered[j];
       t.incident = e.incident;
       t.server = e.server;
       t.subsystem = fleet.server(e.server).subsystem;
@@ -94,22 +93,21 @@ std::array<int, trace::kSubsystemCount> emit_crash_tickets(
           repair[static_cast<std::size_t>(e.cause_class)].sample(rng);
       t.closed = e.at +
                  std::max<Duration>(1, from_hours(queue_hours + repair_hours));
-      auto text =
-          text::generate_crash_text(e.recorded_class, config.text_style, rng);
-      t.description = std::move(text.description);
-      t.resolution = std::move(text.resolution);
-      rendered[j] = std::move(t);
+      text::generate_crash_text(e.recorded_class, config.text_style, rng,
+                                t.description, t.resolution);
     });
     // Compact the block (monitoring losses leave holes) and commit it as one
     // batch, letting the sink encode columns in parallel. Ticket ids still
     // follow event order: batches are committed serially, holes skipped.
-    batch.clear();
+    // Swapping a ticket into the first hole keeps both slots' buffers.
+    std::size_t kept = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      if (!rendered[j]) continue;
-      ++crash_count[rendered[j]->subsystem];
-      batch.push_back(std::move(*rendered[j]));
+      if (!filed[j]) continue;
+      ++crash_count[rendered[j].subsystem];
+      if (j != kept) std::swap(rendered[kept], rendered[j]);
+      ++kept;
     }
-    writer.add_tickets(batch);
+    writer.add_tickets(std::span(rendered.data(), kept));
   }
   return crash_count;
 }
@@ -141,6 +139,8 @@ void emit_background_tickets(
   const auto background_repair =
       stats::LogNormal::from_mean_median(48.0, 8.0);
 
+  // Reused render slots, as in emit_crash_tickets; every field but the id
+  // (which the writer assigns) is set anew for each ticket.
   std::vector<trace::Ticket> rendered(std::min(kRenderBlock, slots.size()));
   for (std::size_t block = 0; block < slots.size(); block += kRenderBlock) {
     const std::size_t n = std::min(kRenderBlock, slots.size() - block);
@@ -148,7 +148,7 @@ void emit_background_tickets(
       const std::size_t i = block + j;
       const trace::Subsystem sys = slots[i].sys;
       Rng rng = stream_rng(config.seed, SeedStream::kBackgroundTicket, i);
-      trace::Ticket t;
+      trace::Ticket& t = rendered[j];
       t.server = by_system[sys][static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(by_system[sys].size()) - 1))];
       t.subsystem = sys;
@@ -160,10 +160,7 @@ void emit_background_tickets(
       t.closed =
           t.opened + std::max<Duration>(
                          1, from_hours(background_repair.sample(rng)));
-      auto text = text::generate_background_text(rng);
-      t.description = std::move(text.description);
-      t.resolution = std::move(text.resolution);
-      rendered[j] = std::move(t);
+      text::generate_background_text(rng, t.description, t.resolution);
     });
     writer.add_tickets(std::span(rendered.data(), n));
   }

@@ -98,26 +98,22 @@ void emit_weekly_usage(const SimulationConfig& config, const Fleet& fleet,
         rows[j].push_back(u);
       }
     });
-    for (std::size_t j = 0; j < n; ++j) {
-      for (const trace::WeeklyUsage& u : rows[j]) writer.add_weekly_usage(u);
-    }
+    for (std::size_t j = 0; j < n; ++j) writer.add_weekly_usage_rows(rows[j]);
   }
 }
 
 void emit_monthly_snapshots(const Fleet& fleet, trace::TraceWriter& writer) {
   const ObservationWindow year = ticket_window();
   const int months = year.month_count();
+  std::vector<trace::MonthlySnapshot> rows;
   for (std::size_t i = 0; i < fleet.servers.size(); ++i) {
     const trace::ServerRecord& s = fleet.servers[i];
     const MachineProfile& p = fleet.profiles[i];
+    rows.clear();
     for (int m = first_snapshot_month(s); m < months; ++m) {
-      trace::MonthlySnapshot snap;
-      snap.server = s.id;
-      snap.month = m;
-      snap.box = s.host_box;
-      snap.consolidation = p.consolidation;
-      writer.add_monthly_snapshot(snap);
+      rows.push_back({s.id, m, s.host_box, p.consolidation});
     }
+    writer.add_monthly_snapshots(rows);
   }
 }
 
@@ -167,9 +163,7 @@ void emit_power_events(const SimulationConfig& config, const Fleet& fleet,
         busy_until = on_at;
       }
     });
-    for (std::size_t j = 0; j < n; ++j) {
-      for (const trace::PowerEvent& e : rows[j]) writer.add_power_event(e);
-    }
+    for (std::size_t j = 0; j < n; ++j) writer.add_power_events(rows[j]);
   }
 }
 

@@ -14,6 +14,18 @@ std::string_view pick(std::span<const std::string_view> pool, Rng& rng) {
       rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
 }
 
+// Replaces s with `first`. A string without room for it is rebuilt at its
+// exact size, as std::string(first) would be, so a caller that moves the
+// strings out after each render allocates exactly what the value-returning
+// form does; a string with room keeps its buffer.
+void start_text(std::string& s, std::string_view first) {
+  if (s.capacity() < first.size()) {
+    s = std::string(first);
+  } else {
+    s.assign(first);
+  }
+}
+
 void append_word(std::string& s, std::string_view word) {
   if (!s.empty()) s += ' ';
   s += word;
@@ -27,30 +39,29 @@ trace::FailureClass random_real_class(Rng& rng) {
 
 }  // namespace
 
-TicketText generate_crash_text(trace::FailureClass recorded,
-                               const TextStyleOptions& options, Rng& rng) {
+void generate_crash_text(trace::FailureClass recorded,
+                         const TextStyleOptions& options, Rng& rng,
+                         std::string& description, std::string& resolution) {
   require(options.signature_words >= 1,
           "generate_crash_text: need at least one signature word");
-  TicketText text;
-
   const auto sig_pool = signature_words(recorded);
 
   // Description: crash symptom plus hint words.
-  text.description = std::string(pick(crash_symptoms(), rng));
+  start_text(description, pick(crash_symptoms(), rng));
   for (int i = 0; i < (options.signature_words + 1) / 2; ++i) {
-    append_word(text.description, pick(sig_pool, rng));
+    append_word(description, pick(sig_pool, rng));
   }
   for (int i = 0; i < options.generic_words / 2; ++i) {
-    append_word(text.description, pick(generic_words(), rng));
+    append_word(description, pick(generic_words(), rng));
   }
 
   // Resolution: what the support group did.
-  text.resolution = std::string(pick(resolution_phrases(recorded), rng));
+  start_text(resolution, pick(resolution_phrases(recorded), rng));
   for (int i = 0; i < options.signature_words / 2; ++i) {
-    append_word(text.resolution, pick(sig_pool, rng));
+    append_word(resolution, pick(sig_pool, rng));
   }
   for (int i = 0; i < (options.generic_words + 1) / 2; ++i) {
-    append_word(text.resolution, pick(generic_words(), rng));
+    append_word(resolution, pick(generic_words(), rng));
   }
 
   // Cross-class confusion: some tickets describe a secondary symptom chain
@@ -63,24 +74,36 @@ TicketText generate_crash_text(trace::FailureClass recorded,
     while (confusing == recorded) confusing = random_real_class(rng);
     const auto confusing_pool = signature_words(confusing);
     for (int i = 0; i < (options.signature_words + 1) / 2; ++i) {
-      append_word(text.description, pick(confusing_pool, rng));
+      append_word(description, pick(confusing_pool, rng));
     }
     for (int i = 0; i < options.signature_words / 2; ++i) {
-      append_word(text.resolution, pick(confusing_pool, rng));
+      append_word(resolution, pick(confusing_pool, rng));
     }
   }
+}
+
+TicketText generate_crash_text(trace::FailureClass recorded,
+                               const TextStyleOptions& options, Rng& rng) {
+  TicketText text;
+  generate_crash_text(recorded, options, rng, text.description,
+                      text.resolution);
   return text;
+}
+
+void generate_background_text(Rng& rng, std::string& description,
+                              std::string& resolution) {
+  start_text(description, pick(background_phrases(), rng));
+  for (int i = 0; i < 3; ++i) {
+    append_word(description, pick(generic_words(), rng));
+  }
+  start_text(resolution,
+             pick(resolution_phrases(trace::FailureClass::kOther), rng));
+  append_word(resolution, pick(generic_words(), rng));
 }
 
 TicketText generate_background_text(Rng& rng) {
   TicketText text;
-  text.description = std::string(pick(background_phrases(), rng));
-  for (int i = 0; i < 3; ++i) {
-    append_word(text.description, pick(generic_words(), rng));
-  }
-  text.resolution = std::string(
-      pick(resolution_phrases(trace::FailureClass::kOther), rng));
-  append_word(text.resolution, pick(generic_words(), rng));
+  generate_background_text(rng, text.description, text.resolution);
   return text;
 }
 

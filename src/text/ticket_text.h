@@ -38,4 +38,13 @@ TicketText generate_crash_text(trace::FailureClass recorded,
 // Text for a non-crash background ticket (capacity warnings, requests...).
 TicketText generate_background_text(Rng& rng);
 
+// The same texts rendered into caller-owned strings, replacing what they
+// held: same strings, same draws. A caller rendering into reused ticket
+// slots keeps the strings' capacity instead of allocating per ticket.
+void generate_crash_text(trace::FailureClass recorded,
+                         const TextStyleOptions& options, Rng& rng,
+                         std::string& description, std::string& resolution);
+void generate_background_text(Rng& rng, std::string& description,
+                              std::string& resolution);
+
 }  // namespace fa::text

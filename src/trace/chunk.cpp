@@ -47,18 +47,6 @@ std::uint32_t first_outside_domain(const std::uint8_t* values,
       values);
 }
 
-bool int_like(Encoding e) {
-  switch (e) {
-    case Encoding::kInt64:
-    case Encoding::kInt32:
-    case Encoding::kUInt8:
-    case Encoding::kOptInt32:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 std::string_view table_name(Table table) {
@@ -166,14 +154,32 @@ ChunkBuilder::ChunkBuilder(Table table) : table_(table) {
   }
 }
 
-// The per-value append path runs once per cell of every saved trace, so the
-// happy path must not construct error messages: checks branch to these cold
+// The fills run on every slice of every saved trace, so the happy path
+// must not construct error messages: checks branch to these cold
 // [[noreturn]] helpers, which build the diagnostic only when a check fires.
-void ChunkBuilder::fail_encoding(std::size_t index, Encoding expected) const {
-  throw Error("columnar: column " + std::to_string(index) + " of " +
-              std::string(table_name(table_)) + " expects encoding " +
-              std::string(encoding_name(columns_[index].encoding)) +
-              ", got " + std::string(encoding_name(expected)));
+void ChunkBuilder::fail_column(std::size_t index, Encoding expected) const {
+  require(index < columns_.size(), "columnar: column index out of range");
+  if (columns_[index].encoding != expected) {
+    throw Error("columnar: column " + std::to_string(index) + " of " +
+                std::string(table_name(table_)) + " expects encoding " +
+                std::string(encoding_name(columns_[index].encoding)) +
+                ", got " + std::string(encoding_name(expected)));
+  }
+  throw Error("columnar: column " +
+              std::string(table_schema(table_)[index].name) + " of " +
+              std::string(table_name(table_)) +
+              " filled twice in one slice");
+}
+
+void ChunkBuilder::fail_domain(std::size_t index, const std::uint8_t* values,
+                               std::size_t n) const {
+  const int domain = columns_[index].domain;
+  const std::uint32_t bad =
+      first_outside_domain(values, static_cast<std::uint32_t>(n), domain);
+  throw Error("columnar: " + std::string(table_name(table_)) + "." +
+              std::string(table_schema(table_)[index].name) + " value " +
+              std::to_string(values[bad]) + " outside its domain [0, " +
+              std::to_string(domain) + ")");
 }
 
 void ChunkBuilder::fail_row_incomplete() const {
@@ -185,23 +191,6 @@ void ChunkBuilder::fail_row_incomplete() const {
     }
   }
   throw Error("columnar: row completion check failed");
-}
-
-ChunkBuilder::Column& ChunkBuilder::column_for(std::size_t index,
-                                               Encoding expected) {
-  require(index < columns_.size(), "columnar: column index out of range");
-  Column& c = columns_[index];
-  if (c.encoding != expected) fail_encoding(index, expected);
-  require(c.size == rows_, "columnar: column appended out of row order");
-  ++c.size;
-  return c;
-}
-
-ChunkBuilder::Column& ChunkBuilder::batch_column(std::size_t index) {
-  require(index < columns_.size(), "columnar: column index out of range");
-  Column& c = columns_[index];
-  require(c.size == rows_, "columnar: batch fill on a column already advanced");
-  return c;
 }
 
 // ---- ChunkBuilder::StringDict ----
@@ -249,59 +238,43 @@ void ChunkBuilder::StringDict::clear() {
   std::fill(table_.begin(), table_.end(), Entry{0, kNoSlot});
 }
 
-void ChunkBuilder::add_int(std::size_t column, std::int64_t v) {
-  require(column < columns_.size(), "columnar: column index out of range");
-  const Encoding e = columns_[column].encoding;
-  require(e == Encoding::kInt64 || e == Encoding::kInt32 ||
-              e == Encoding::kUInt8,
-          "columnar: add_int on a non-integer column");
-  Column& c = column_for(column, e);
-  if (e == Encoding::kInt32) {
-    require(v >= INT32_MIN && v <= INT32_MAX,
-            "columnar: value out of int32 range");
-  } else if (e == Encoding::kUInt8) {
-    require(v >= 0 && v < c.domain,
-            "columnar: value outside the column's domain");
-  }
-  c.ints.push_back(v);
-}
-
-void ChunkBuilder::add_double(std::size_t column, double v) {
-  column_for(column, Encoding::kFloat64).doubles.push_back(v);
-}
-
-void ChunkBuilder::add_opt_double(std::size_t column,
-                                  const std::optional<double>& v) {
-  Column& c = column_for(column, Encoding::kOptFloat64);
-  c.present.push_back(v.has_value() ? 1 : 0);
-  c.doubles.push_back(v.value_or(0.0));
-}
-
-void ChunkBuilder::add_opt_int(std::size_t column,
-                               const std::optional<std::int32_t>& v) {
-  Column& c = column_for(column, Encoding::kOptInt32);
-  c.present.push_back(v.has_value() ? 1 : 0);
-  c.ints.push_back(v.value_or(0));
-}
-
-void ChunkBuilder::add_string(std::size_t column, std::string_view v) {
-  Column& c = column_for(column, Encoding::kStringDict);
-  c.indices.push_back(c.dict.slot(v));
-}
-
-void ChunkBuilder::next_row() {
-  ++rows_;
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].size != rows_) fail_row_incomplete();
-  }
-}
-
 void ChunkBuilder::advance_rows(std::size_t n) {
   rows_ += static_cast<std::uint32_t>(n);
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i].size != rows_) fail_row_incomplete();
   }
 }
+
+namespace {
+
+// Min/max of the first `rows` values that are present (all of them when
+// `presence` is null).
+template <typename T>
+ColumnStats minmax(const std::vector<T>& values, std::size_t rows,
+                   const std::uint8_t* presence) {
+  const auto present = [&](std::size_t r) {
+    return presence == nullptr || ((presence[r / 8] >> (r % 8)) & 1u);
+  };
+  std::size_t r = 0;
+  while (r < rows && !present(r)) ++r;
+  if (r == rows) return {};
+  T lo = values[r], hi = values[r];
+  for (; r < rows; ++r) {
+    if (!present(r)) continue;
+    lo = std::min(lo, values[r]);
+    hi = std::max(hi, values[r]);
+  }
+  return {true, lo, hi};
+}
+
+// The first `rows` values of a column buffer.
+template <typename T>
+void append_values(std::vector<std::byte>& out, const std::vector<T>& values,
+                   std::size_t rows) {
+  append_bytes(out, values.data(), rows * sizeof(T));
+}
+
+}  // namespace
 
 ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
   require(out.size() % kBlockAlign == 0,
@@ -316,64 +289,39 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
     ColumnBlockInfo& block = info.columns[ci];
     block.offset = out.size();
 
-    auto stat_ints = [&](bool optional_col) {
-      ColumnStats s;
-      for (std::size_t r = 0; r < c.ints.size(); ++r) {
-        if (optional_col && !c.present[r]) continue;
-        if (!s.has_minmax) {
-          s.has_minmax = true;
-          s.min = s.max = c.ints[r];
-        } else {
-          s.min = std::min(s.min, c.ints[r]);
-          s.max = std::max(s.max, c.ints[r]);
-        }
-      }
-      return s;
-    };
-
-    auto write_bitmap = [&] {
-      std::vector<std::uint8_t> bitmap(padded((rows_ + 7) / 8), 0);
-      for (std::uint32_t r = 0; r < rows_; ++r) {
-        if (c.present[r]) bitmap[r / 8] |= std::uint8_t(1u << (r % 8));
-      }
-      append_bytes(out, bitmap.data(), bitmap.size());
+    // The presence bitmap block: the packed bits, zero-padded to 8 bytes.
+    const std::size_t bitmap_bytes = (rows_ + 7) / 8;
+    const auto write_presence = [&] {
+      append_bytes(out, c.presence.data(), bitmap_bytes);
+      out.resize(out.size() + padded(bitmap_bytes) - bitmap_bytes,
+                 std::byte{0});
     };
 
     switch (c.encoding) {
       case Encoding::kInt64:
-        append_bytes(out, c.ints.data(), c.ints.size() * sizeof(std::int64_t));
-        block.stats = stat_ints(false);
+        append_values(out, c.i64, rows_);
+        block.stats = minmax(c.i64, rows_, nullptr);
         break;
-      case Encoding::kInt32: {
-        std::vector<std::int32_t> narrow(c.ints.begin(), c.ints.end());
-        append_bytes(out, narrow.data(),
-                     narrow.size() * sizeof(std::int32_t));
-        block.stats = stat_ints(false);
+      case Encoding::kInt32:
+        append_values(out, c.i32, rows_);
+        block.stats = minmax(c.i32, rows_, nullptr);
         break;
-      }
-      case Encoding::kUInt8: {
-        std::vector<std::uint8_t> narrow(c.ints.begin(), c.ints.end());
-        append_bytes(out, narrow.data(), narrow.size());
-        block.stats = stat_ints(false);
+      case Encoding::kUInt8:
+        append_values(out, c.u8, rows_);
+        block.stats = minmax(c.u8, rows_, nullptr);
         break;
-      }
       case Encoding::kFloat64:
-        append_bytes(out, c.doubles.data(),
-                     c.doubles.size() * sizeof(double));
+        append_values(out, c.f64, rows_);
         break;
       case Encoding::kOptFloat64:
-        write_bitmap();
-        append_bytes(out, c.doubles.data(),
-                     c.doubles.size() * sizeof(double));
+        write_presence();
+        append_values(out, c.f64, rows_);
         break;
-      case Encoding::kOptInt32: {
-        write_bitmap();
-        std::vector<std::int32_t> narrow(c.ints.begin(), c.ints.end());
-        append_bytes(out, narrow.data(),
-                     narrow.size() * sizeof(std::int32_t));
-        block.stats = stat_ints(true);
+      case Encoding::kOptInt32:
+        write_presence();
+        append_values(out, c.i32, rows_);
+        block.stats = minmax(c.i32, rows_, c.presence.data());
         break;
-      }
       case Encoding::kStringDict: {
         const std::uint32_t dict_count = c.dict.size();
         block.extra = dict_count;
@@ -382,8 +330,7 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
                      c.dict.offsets().size_bytes());
         append_bytes(out, c.dict.bytes().data(), c.dict.bytes().size());
         pad_to(out, 4);
-        append_bytes(out, c.indices.data(),
-                     c.indices.size() * sizeof(std::uint32_t));
+        append_values(out, c.indices, rows_);
         break;
       }
     }
@@ -391,13 +338,9 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
     block.size = out.size() - block.offset;
     pad_to(out, kBlockAlign);
 
-    if (!int_like(c.encoding)) block.stats = ColumnStats{};
-
-    // Reset for the next chunk, keeping capacity.
-    c.ints.clear();
-    c.doubles.clear();
-    c.present.clear();
-    c.indices.clear();
+    // Reset for the next chunk, keeping the buffers.
+    std::fill_n(c.presence.begin(), std::min(bitmap_bytes, c.presence.size()),
+                std::uint8_t{0});
     c.dict.clear();
     c.size = 0;
   }

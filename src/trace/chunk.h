@@ -18,14 +18,17 @@
 //                       dict bytes (padded to 4) | u32 indices[rows]
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/trace/types.h"
@@ -120,9 +123,20 @@ std::uint64_t fnv1a(const std::byte* data, std::size_t size);
 
 // ---- encoding ----
 
-// Accumulates rows of one table column-wise, then encodes one chunk.
-// Typed appends must follow the column's declared encoding; next_row()
-// validates that every column advanced exactly once.
+// Accumulates rows of one table column-wise, then encodes one chunk. Each
+// column is held at its encoded width (i64, i32, u8 or f64 values, plus a
+// presence bitmap for optional columns and a dictionary for text), so
+// encode() copies the blocks and takes min/max.
+//
+// Rows arrive a slice at a time, column by column: each fill call appends
+// the next n rows' values of one column, and advance_rows(n) completes the
+// slice once every column received exactly n values. Checks run once per
+// slice: the column's encoding and position, u8 values against the
+// column's domain, and (at compile time) that the values convert to the
+// column's width without loss. Each column's state is disjoint, so the
+// columns of one slice may be filled from different threads. Dictionary
+// slots follow row order within a column, so the bytes do not depend on
+// how the rows are sliced.
 class ChunkBuilder {
  public:
   explicit ChunkBuilder(Table table);
@@ -130,54 +144,49 @@ class ChunkBuilder {
   Table table() const { return table_; }
   std::uint32_t rows() const { return rows_; }
 
-  void add_int(std::size_t column, std::int64_t v);      // kInt64/kInt32/kUInt8
-  void add_double(std::size_t column, double v);         // kFloat64
-  void add_opt_double(std::size_t column, const std::optional<double>& v);
-  void add_opt_int(std::size_t column, const std::optional<std::int32_t>& v);
-  void add_string(std::size_t column, std::string_view v);  // kStringDict
-  void next_row();
-
-  // ---- batch appends (column-at-a-time) ----
-  // Fill one column with the next n rows' values in one call: the checks the
-  // per-value methods repeat per call happen once per batch. Each column's
-  // state is disjoint, so different columns of the same batch may be filled
-  // from different threads; finish the batch with a single advance_rows(n)
-  // (from one thread) once every column received exactly n values. Dictionary
-  // insertion order stays the row order within the column, so the encoded
-  // bytes are identical to n per-value appends.
-  template <typename Getter>  // Getter(i) -> std::int64_t for rows [0, n)
-  void fill_ints(std::size_t column, std::size_t n, Getter&& get) {
-    Column& c = batch_column(column);
-    const Encoding e = c.encoding;
-    require(e == Encoding::kInt64 || e == Encoding::kInt32 ||
-                e == Encoding::kUInt8,
-            "columnar: fill_ints on a non-integer column");
-    c.ints.reserve(c.ints.size() + n);
+  // T is the column's value type: std::int64_t (kInt64), std::int32_t
+  // (kInt32), std::uint8_t (kUInt8) or double (kFloat64).
+  template <typename T, typename Getter>  // Getter(i) -> value for rows [0, n)
+  void fill(std::size_t column, std::size_t n, Getter&& get) {
+    using V = std::remove_cvref_t<decltype(get(std::size_t{0}))>;
+    static_assert(lossless<T, V>(), "columnar: value wider than its column");
+    Column& c = slice_column(column, encoding_of<T>(false));
+    T* out = room(values<T>(c), c.size, n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<T>(get(i));
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+      std::uint8_t top = 0;
+      for (std::size_t i = 0; i < n; ++i) top = std::max(top, out[i]);
+      if (top >= c.domain) fail_domain(column, out, n);
+    }
+    c.size += n;
+  }
+  // Optional columns: T is std::int32_t (kOptInt32) or double
+  // (kOptFloat64); an absent value is stored as 0 with its presence bit
+  // clear.
+  template <typename T, typename Getter>  // Getter(i) -> std::optional<U>
+  void fill_optional(std::size_t column, std::size_t n, Getter&& get) {
+    using V = typename std::remove_cvref_t<
+        decltype(get(std::size_t{0}))>::value_type;
+    static_assert(lossless<T, V>(), "columnar: value wider than its column");
+    Column& c = slice_column(column, encoding_of<T>(true));
+    T* out = room(values<T>(c), c.size, n);
+    room(c.presence, 0, (c.size + n + 7) / 8);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t v = get(i);
-      if (e == Encoding::kInt32) {
-        require(v >= INT32_MIN && v <= INT32_MAX,
-                "columnar: value out of int32 range");
-      } else if (e == Encoding::kUInt8) {
-        require(v >= 0 && v < c.domain,
-                "columnar: value outside the column's domain");
-      }
-      c.ints.push_back(v);
+      const auto& v = get(i);
+      out[i] = v ? static_cast<T>(*v) : T{0};
+      const std::size_t r = c.size + i;
+      c.presence[r / 8] |= static_cast<std::uint8_t>(v.has_value() << (r % 8));
     }
     c.size += n;
   }
   template <typename Getter>  // Getter(i) -> std::string_view for rows [0, n)
   void fill_strings(std::size_t column, std::size_t n, Getter&& get) {
-    Column& c = batch_column(column);
-    require(c.encoding == Encoding::kStringDict,
-            "columnar: fill_strings on a non-dictionary column");
-    c.indices.reserve(c.indices.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      c.indices.push_back(c.dict.slot(get(i)));
-    }
+    Column& c = slice_column(column, Encoding::kStringDict);
+    std::uint32_t* out = room(c.indices, c.size, n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = c.dict.slot(get(i));
     c.size += n;
   }
-  // Completes a batch of n rows (the batch counterpart of next_row()).
+  // Completes a slice of n rows; every column must have received n values.
   void advance_rows(std::size_t n);
 
   // Appends the encoded chunk to `out` (which must be 8-aligned at its
@@ -217,20 +226,85 @@ class ChunkBuilder {
     std::vector<Entry> table_;  // power-of-two size, at most half full
   };
 
+  // Buffers hold at least `size` rows and keep their length from chunk to
+  // chunk; the rows past `size` are stale (presence bits past it are 0).
   struct Column {
     Encoding encoding;
     int domain;                          // kUInt8 (ColumnSpec::domain)
-    std::vector<std::int64_t> ints;      // int-like values (0 when absent)
-    std::vector<double> doubles;         // kFloat64 / kOptFloat64
-    std::vector<std::uint8_t> present;   // optional columns, 1 per row
+    // Values at the encoded width; a column uses the one its encoding names.
+    std::vector<std::int64_t> i64;       // kInt64
+    std::vector<std::int32_t> i32;       // kInt32 / kOptInt32
+    std::vector<std::uint8_t> u8;        // kUInt8
+    std::vector<double> f64;             // kFloat64 / kOptFloat64
+    std::vector<std::uint8_t> presence;  // optional columns: bit r % 8 of
+                                         // byte r / 8 is row r's
     std::vector<std::uint32_t> indices;  // kStringDict row -> dict slot
     StringDict dict;                     // kStringDict
-    std::size_t size = 0;                // rows appended so far
+    std::size_t size = 0;                // rows filled in this chunk
   };
 
-  Column& column_for(std::size_t index, Encoding expected);
-  Column& batch_column(std::size_t index);
-  [[noreturn]] void fail_encoding(std::size_t index, Encoding expected) const;
+  // Whether every value of V converts to T without loss (enums by their
+  // underlying type, bool as 0/1).
+  template <typename T, typename V>
+  static constexpr bool lossless() {
+    if constexpr (std::is_enum_v<V>) {
+      return lossless<T, std::underlying_type_t<V>>();
+    } else if constexpr (std::is_floating_point_v<T>) {
+      return std::is_same_v<T, V>;
+    } else {
+      return std::is_integral_v<V> &&
+             std::numeric_limits<T>::digits >=
+                 std::numeric_limits<V>::digits &&
+             (std::is_signed_v<T> || !std::is_signed_v<V>);
+    }
+  }
+  template <typename T>
+  static constexpr Encoding encoding_of(bool optional) {
+    if constexpr (std::is_same_v<T, std::int64_t>) {
+      return Encoding::kInt64;
+    } else if constexpr (std::is_same_v<T, std::int32_t>) {
+      return optional ? Encoding::kOptInt32 : Encoding::kInt32;
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      return Encoding::kUInt8;
+    } else {
+      static_assert(std::is_same_v<T, double>, "columnar: no such column");
+      return optional ? Encoding::kOptFloat64 : Encoding::kFloat64;
+    }
+  }
+  template <typename T>
+  static std::vector<T>& values(Column& c) {
+    if constexpr (std::is_same_v<T, std::int64_t>) {
+      return c.i64;
+    } else if constexpr (std::is_same_v<T, std::int32_t>) {
+      return c.i32;
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+      return c.u8;
+    } else {
+      return c.f64;
+    }
+  }
+  // Makes room for elements [at, at + n) of `buffer`, doubling it when it
+  // is too short (new elements are zero), and returns element `at`.
+  template <typename T>
+  static T* room(std::vector<T>& buffer, std::size_t at, std::size_t n) {
+    if (buffer.size() < at + n) {
+      buffer.resize(std::max(at + n, 2 * buffer.size()));
+    }
+    return buffer.data() + at;
+  }
+
+  // The column a slice fills: checks its index, its encoding and that it
+  // has not been filled for this slice yet.
+  Column& slice_column(std::size_t index, Encoding expected) {
+    if (index >= columns_.size()) fail_column(index, expected);
+    Column& c = columns_[index];
+    if (c.encoding != expected || c.size != rows_) fail_column(index, expected);
+    return c;
+  }
+  [[noreturn]] void fail_column(std::size_t index, Encoding expected) const;
+  // Names the first of a slice's n u8 values outside the column's domain.
+  [[noreturn]] void fail_domain(std::size_t index, const std::uint8_t* values,
+                                std::size_t n) const;
   [[noreturn]] void fail_row_incomplete() const;
 
   Table table_;

@@ -47,6 +47,35 @@ void TraceWriter::add_monthly_snapshot(const MonthlySnapshot& snapshot) {
   do_add_monthly_snapshot(snapshot);
 }
 
+void TraceWriter::add_weekly_usage_rows(std::span<const WeeklyUsage> rows) {
+  do_add_weekly_usage_rows(rows);
+}
+
+void TraceWriter::add_power_events(std::span<const PowerEvent> events) {
+  do_add_power_events(events);
+}
+
+void TraceWriter::add_monthly_snapshots(
+    std::span<const MonthlySnapshot> snapshots) {
+  do_add_monthly_snapshots(snapshots);
+}
+
+void TraceWriter::do_add_weekly_usage_rows(
+    std::span<const WeeklyUsage> rows) {
+  for (const WeeklyUsage& usage : rows) do_add_weekly_usage(usage);
+}
+
+void TraceWriter::do_add_power_events(std::span<const PowerEvent> events) {
+  for (const PowerEvent& event : events) do_add_power_event(event);
+}
+
+void TraceWriter::do_add_monthly_snapshots(
+    std::span<const MonthlySnapshot> snapshots) {
+  for (const MonthlySnapshot& snapshot : snapshots) {
+    do_add_monthly_snapshot(snapshot);
+  }
+}
+
 IncidentId TraceWriter::new_incident() { return IncidentId{next_incident_++}; }
 
 void DatabaseTraceWriter::do_add_server(const ServerRecord& record) {

@@ -15,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -45,43 +41,7 @@ Rng Rng::fork(std::uint64_t stream_id) {
   return child;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) {
-  require(lo <= hi, "Rng::uniform: lo > hi");
-  return lo + (hi - lo) * uniform();
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  require(lo <= hi, "Rng::uniform_int: lo > hi");
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (range == 0) return static_cast<std::int64_t>(next_u64());  // full range
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % range);
-  std::uint64_t r = next_u64();
-  while (r >= limit) r = next_u64();
-  return lo + static_cast<std::int64_t>(r % range);
-}
-
-double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
+double Rng::normal_polar() {
   double u = 0.0, v = 0.0, s = 0.0;
   do {
     u = uniform(-1.0, 1.0);

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/error.h"
+
 namespace fa {
 
 class Rng {
@@ -27,6 +29,8 @@ class Rng {
   static std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream,
                                    std::uint64_t index = 0);
 
+  // The per-draw members are defined inline below: the simulator makes
+  // hundreds of millions of draws per scale-8 trace.
   std::uint64_t next_u64();
 
   // Uniform in [0, 1).
@@ -36,7 +40,8 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  // Standard normal via polar (Marsaglia) method.
+  // Standard normal via polar (Marsaglia) method. Each polar step yields two
+  // variates; the second is cached and served by the next call.
   double normal();
   double normal(double mean, double stddev);
 
@@ -63,9 +68,55 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  // The polar step of normal(): returns one variate and caches the other.
+  double normal_polar();
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };
+
+inline std::uint64_t Rng::next_u64() {
+  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform() {
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::uniform(double lo, double hi) {
+  require(lo <= hi, "Rng::uniform: lo > hi");
+  return lo + (hi - lo) * uniform();
+}
+
+inline std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
+  require(lo <= hi, "Rng::uniform_int: lo > hi");
+  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
+  if (range == 0) return static_cast<std::int64_t>(next_u64());  // full range
+  // Rejection sampling to avoid modulo bias.
+  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % range);
+  std::uint64_t r = next_u64();
+  while (r >= limit) r = next_u64();
+  return lo + static_cast<std::int64_t>(r % range);
+}
+
+inline double Rng::normal() {
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    return cached_normal_;
+  }
+  return normal_polar();
+}
 
 }  // namespace fa

@@ -359,6 +359,79 @@ TEST_F(ColumnarIoTest, BatchTicketCommitIsByteIdenticalToPerTicket) {
   ThreadPool::set_default_thread_count(0);
 }
 
+// Forwards every row to `inner` through its per-row entry points and
+// overrides only the per-row hooks, as perfbench's TimedTraceWriter does:
+// span commits reach it through the base class's row-by-row defaults.
+class PerRowWriter final : public TraceWriter {
+ public:
+  explicit PerRowWriter(TraceWriter& inner) : inner_(inner) {}
+
+  IncidentId new_incident() override { return inner_.new_incident(); }
+  void set_windows(ObservationWindow ticket, ObservationWindow monitoring,
+                   ObservationWindow onoff_tracking) override {
+    inner_.set_windows(ticket, monitoring, onoff_tracking);
+  }
+  void finish() override { inner_.finish(); }
+
+ protected:
+  void do_add_server(const ServerRecord& record) override {
+    inner_.add_server(record);
+  }
+  void do_add_ticket(Ticket ticket) override {
+    inner_.add_ticket(std::move(ticket));
+  }
+  void do_add_weekly_usage(const WeeklyUsage& usage) override {
+    inner_.add_weekly_usage(usage);
+  }
+  void do_add_power_event(const PowerEvent& event) override {
+    inner_.add_power_event(event);
+  }
+  void do_add_monthly_snapshot(const MonthlySnapshot& snapshot) override {
+    inner_.add_monthly_snapshot(snapshot);
+  }
+
+ private:
+  TraceWriter& inner_;
+};
+
+// The simulator commits spans; a sink that takes them row by row must end
+// with the same file at any chunk size (slices cut at 1 and 7 rows, mid
+// chunk, and at the default) and the same database.
+TEST_F(ColumnarIoTest, SpanCommitsMatchPerRowHooks) {
+  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.02);
+  for (const std::uint32_t chunk_rows : {1u, 7u, 256u, kDefaultChunkRows}) {
+    {
+      ColumnarTraceWriter writer(path("span.fac"), chunk_rows);
+      sim::simulate_to(config, writer);
+    }
+    {
+      ColumnarTraceWriter inner(path("rows.fac"), chunk_rows);
+      PerRowWriter writer(inner);
+      sim::simulate_to(config, writer);
+    }
+    const std::string span_bytes = read_file(dir_ / "span.fac");
+    ASSERT_FALSE(span_bytes.empty());
+    EXPECT_TRUE(span_bytes == read_file(dir_ / "rows.fac"))
+        << "span and per-row commits differ at " << chunk_rows
+        << "-row chunks";
+  }
+
+  TraceDatabase by_span, by_row;
+  {
+    DatabaseTraceWriter writer(by_span);
+    sim::simulate_to(config, writer);
+  }
+  {
+    DatabaseTraceWriter inner(by_row);
+    PerRowWriter writer(inner);
+    sim::simulate_to(config, writer);
+  }
+  by_span.finalize();
+  by_row.finalize();
+  ASSERT_GT(by_span.weekly_usage().size(), 0u);
+  expect_databases_equal(by_span, by_row);
+}
+
 // Tickets whose text exercises every dictionary path at 1,500-row chunks:
 // empty strings, values repeated within a chunk and across chunk
 // boundaries, more than 1,024 distinct values in one chunk (the lookup
@@ -425,6 +498,28 @@ TEST_F(ColumnarIoTest, DictionaryEdgeCasesEncodeToPinnedBytes) {
           << name << " ticket " << i;
     }
   }
+}
+
+// Pins the whole codec: every table of a simulated trace at 256-row
+// chunks, so the file holds presence bitmaps (VM-only optional columns),
+// dictionaries, all five tables and a partial final chunk in each. The
+// constants were recorded from the per-value encoder; a change to them is
+// a change to the file format (docs/SCHEMA.md).
+TEST_F(ColumnarIoTest, AllTablesEncodeToPinnedBytes) {
+  constexpr std::uint64_t kPinnedSize = 4985877;
+  constexpr std::uint64_t kPinnedDigest = 0xf662c3e31056822dULL;
+  const FileReport report =
+      save_columnar(fa::testing::small_simulated_db(), path("all.fac"), 256);
+  for (columnar::Table table : columnar::kAllTables) {
+    const auto t = static_cast<std::size_t>(table);
+    EXPECT_GT(report.chunks[t], 1u) << columnar::table_name(table);
+    EXPECT_NE(report.rows[t] % 256, 0u) << columnar::table_name(table);
+  }
+  const std::string bytes = read_file(dir_ / "all.fac");
+  EXPECT_EQ(bytes.size(), kPinnedSize);
+  EXPECT_EQ(columnar::fnv1a(reinterpret_cast<const std::byte*>(bytes.data()),
+                            bytes.size()),
+            kPinnedDigest);
 }
 
 TEST_F(ColumnarIoTest, StreamedFileMatchesInMemorySimulation) {

@@ -1,8 +1,13 @@
 #include "src/util/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <iterator>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -145,6 +150,94 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_NE(shuffled, v);  // astronomically unlikely to be identity
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, v);
+}
+
+// The first three draws of every distribution member, as bit patterns, for
+// two seeds, recorded from the out-of-line implementation. Simulated traces
+// are pinned only as a whole elsewhere; this pins each draw, so moving a
+// member into the header (or any other refactor) must keep every expression
+// bit for bit.
+TEST(Rng, DrawsMatchRecordedBits) {
+  using Draw = std::function<std::uint64_t(Rng&)>;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::pair<const char*, Draw> draws[] = {
+      {"next_u64", [](Rng& r) { return r.next_u64(); }},
+      {"uniform", [&](Rng& r) { return bits(r.uniform()); }},
+      {"uniform(lo,hi)", [&](Rng& r) { return bits(r.uniform(-3.5, 7.25)); }},
+      {"uniform_int",
+       [](Rng& r) {
+         return static_cast<std::uint64_t>(r.uniform_int(-5, 1000));
+       }},
+      {"normal", [&](Rng& r) { return bits(r.normal()); }},
+      {"normal(m,s)", [&](Rng& r) { return bits(r.normal(10.0, 2.5)); }},
+      {"exponential", [&](Rng& r) { return bits(r.exponential(0.7)); }},
+      {"poisson(3.2)", [](Rng& r) { return r.poisson(3.2); }},
+      {"poisson(45)", [](Rng& r) { return r.poisson(45.0); }},
+      {"bernoulli",
+       [](Rng& r) {  // eight trials, packed low bit first
+         std::uint64_t packed = 0;
+         for (int i = 0; i < 8; ++i) {
+           packed |= std::uint64_t{r.bernoulli(0.3)} << i;
+         }
+         return packed;
+       }},
+  };
+  const std::uint64_t seeds[] = {1, 20140623};
+  const std::uint64_t recorded[2][std::size(draws)][3] = {
+      {
+          {0xb3f2af6d0fc710c5ULL, 0x853b559647364ceaULL,
+           0x92f89756082a4514ULL},  // next_u64
+          {0x3fe67e55eda1f8e2ULL, 0x3fe0a76ab2c8e6c9ULL,
+           0x3fe25f12eac10548ULL},  // uniform
+          {0x401039c37751a670ULL, 0x4000c1eec07bec3cULL,
+           0x40055f82d6e6be32ULL},  // uniform(lo,hi)
+          {0x000000000000025eULL, 0x0000000000000269ULL,
+           0x00000000000003b3ULL},  // uniform_int
+          {0x3ffe267c87ac62ebULL, 0x3fc84abd879d0e18ULL,
+           0x3ff4d55c9633557cULL},  // normal
+          {0x402d6c06ea65deeaULL, 0x4024f2eb674c228dULL,
+           0x402a82aceef00ab7ULL},  // normal(m,s)
+          {0x3fe01d5e8a71aeafULL, 0x3feddafc5dbe635cULL,
+           0x3fe95e677086d00dULL},  // exponential
+          {0x0000000000000005ULL, 0x0000000000000001ULL,
+           0x0000000000000008ULL},  // poisson(3.2)
+          {0x000000000000003aULL, 0x000000000000002eULL,
+           0x0000000000000036ULL},  // poisson(45)
+          {0x0000000000000060ULL, 0x0000000000000000ULL,
+           0x000000000000000dULL},  // bernoulli
+      },
+      {
+          {0xe405a024ebef14e0ULL, 0x918d1c89d0c78958ULL,
+           0x207a79a08ca4ed15ULL},  // next_u64
+          {0x3fec80b4049d7de2ULL, 0x3fe231a3913a18f1ULL,
+           0x3fc03d3cd0465274ULL},  // uniform
+          {0x40184cf1e633a128ULL, 0x4004e567964c2308ULL,
+           0xc00116db2410c09aULL},  // uniform(lo,hi)
+          {0x0000000000000073ULL, 0x00000000000002efULL,
+           0x00000000000003b8ULL},  // uniform_int
+          {0x3fee540e66c58dd4ULL, 0x3fc5498c3e4ad6dbULL,
+           0xbff1482a4b97d6d3ULL},  // normal
+          {0x4028bd22400ede29ULL, 0x4024d4df7a6eec65ULL,
+           0x401d32e590c119bcULL},  // normal(m,s)
+          {0x3fc529bdc24e7c47ULL, 0x3fe9d002eda4b669ULL,
+           0x4007986f396c8114ULL},  // exponential
+          {0x0000000000000003ULL, 0x0000000000000004ULL,
+           0x0000000000000004ULL},  // poisson(3.2)
+          {0x0000000000000033ULL, 0x000000000000002eULL,
+           0x0000000000000026ULL},  // poisson(45)
+          {0x0000000000000014ULL, 0x0000000000000021ULL,
+           0x0000000000000085ULL},  // bernoulli
+      },
+  };
+  for (std::size_t s = 0; s < std::size(seeds); ++s) {
+    for (std::size_t d = 0; d < std::size(draws); ++d) {
+      Rng rng(seeds[s]);
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(draws[d].second(rng), recorded[s][d][i])
+            << draws[d].first << " draw " << i << " at seed " << seeds[s];
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "src/text/ticket_text.h"
 
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -94,6 +95,37 @@ TEST(TicketText, RejectsDegenerateOptions) {
   EXPECT_THROW(
       generate_crash_text(trace::FailureClass::kHardware, bad, rng),
       Error);
+}
+
+// The into-buffer generators render into strings that held longer text
+// before (as reused ticket slots do): they must produce the strings the
+// value-returning forms return, with the same draws.
+TEST(TicketText, IntoBufferRenderingMatchesReturnedText) {
+  const std::string stale(300, 'x');
+  TextStyleOptions options;
+  options.confusion_probability = 0.5;  // both confusion branches
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const trace::FailureClass cls =
+        trace::kAllFailureClasses[seed % trace::kAllFailureClasses.size()];
+    Rng a(seed), b(seed);
+    const TicketText crash = generate_crash_text(cls, options, a);
+    std::string description = stale, resolution = stale;
+    generate_crash_text(cls, options, b, description, resolution);
+    EXPECT_EQ(description, crash.description) << "seed " << seed;
+    EXPECT_EQ(resolution, crash.resolution) << "seed " << seed;
+
+    const TicketText background = generate_background_text(a);
+    description = stale;
+    resolution = stale;
+    generate_background_text(b, description, resolution);
+    EXPECT_EQ(description, background.description) << "seed " << seed;
+    EXPECT_EQ(resolution, background.resolution) << "seed " << seed;
+
+    // Same state afterwards, the cached normal half included.
+    EXPECT_EQ(a.normal(), b.normal()) << "seed " << seed;
+    EXPECT_EQ(a.normal(), b.normal()) << "seed " << seed;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "seed " << seed;
+  }
 }
 
 TEST(Vocabulary, AllClassesHaveDistinctSignatureWords) {

@@ -66,9 +66,12 @@
 //       Salvage a damaged columnar file: scan the frame stream for the
 //       longest valid prefix (verifying every chunk checksum), then
 //       rewrite the surviving rows as a fresh, fully valid columnar file
-//       with a clean footer. Prints the salvage report (optionally also
-//       written to --report FILE). Recovery is idempotent: recovering an
-//       already-recovered file reproduces it byte for byte.
+//       with a clean footer. A file whose footer is intact keeps every
+//       intact chunk, also those after a damaged one (the rows
+//       `report --lenient` analyzes). Prints the salvage report
+//       (optionally also written to --report FILE). Recovery is
+//       idempotent: recovering an already-recovered file reproduces it
+//       byte for byte.
 //
 //   fa_trace watch [DIR|FILE.fac] [--scale S] [--seed N] [--shift D:F]...
 //                  [--cutoff D] [--ooo reject|buffer|drop] [--slack MIN]
