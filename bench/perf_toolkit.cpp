@@ -276,7 +276,9 @@ int run_stage_report(double scale, const std::string& json_path) {
   {
     std::vector<std::string> corpus;
     corpus.reserve(parallel_db.tickets().size());
-    for (const auto& t : parallel_db.tickets()) corpus.push_back(t.description);
+    for (const auto& t : parallel_db.tickets()) {
+      corpus.emplace_back(t.description);
+    }
     text::VectorizerOptions vec_options;
     vec_options.min_document_frequency = 3;
     std::optional<stats::SparseMatrix> features;
@@ -708,7 +710,10 @@ void BM_KMeansTfIdf(benchmark::State& state) {
   const auto db = sim::simulate(config);
   std::vector<std::string> docs;
   for (const auto& t : db.tickets()) {
-    if (t.is_crash) docs.push_back(t.description + " " + t.resolution);
+    if (t.is_crash) {
+      docs.push_back(std::string(t.description) + " " +
+                     std::string(t.resolution));
+    }
   }
   const auto vectorizer = text::Vectorizer::fit(docs, {});
   const auto features = vectorizer.transform_all_sparse(docs);

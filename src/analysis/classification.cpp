@@ -39,7 +39,9 @@ CrashExtractionResult extract_crash_tickets_clustered(
   // the vague resolution pool and would blur the cluster boundary.
   std::vector<std::string> corpus;
   corpus.reserve(db.tickets().size());
-  for (const trace::Ticket& t : db.tickets()) corpus.push_back(t.description);
+  for (const trace::Ticket& t : db.tickets()) {
+    corpus.emplace_back(t.description);
+  }
   text::VectorizerOptions vec_options;
   vec_options.min_document_frequency = 3;
   const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
@@ -165,7 +167,9 @@ ClassificationResult classify_tickets(
   std::vector<std::string> corpus;
   corpus.reserve(tickets.size());
   for (const trace::Ticket* t : tickets) {
-    corpus.push_back(t->description + " " + t->resolution);
+    std::string& document = corpus.emplace_back();
+    document.reserve(t->description.size() + 1 + t->resolution.size());
+    document.append(t->description).append(" ").append(t->resolution);
   }
   text::VectorizerOptions vec_options;
   vec_options.min_document_frequency = options.min_document_frequency;

@@ -216,7 +216,8 @@ void emit_stream(const trace::TraceDatabase& db,
     for (; next_ticket < tickets.size() && tickets[next_ticket].at <= until;
          ++next_ticket) {
       if (next_ticket + kAhead < tickets.size()) {
-        // A row spans two cache lines: the scalars and the text handles.
+        // A 64-byte row straddles two cache lines unless it is line
+        // aligned: fetch its first and last fields.
         const trace::Ticket& soon =
             all_tickets[tickets[next_ticket + kAhead].row];
         __builtin_prefetch(&soon);

@@ -59,10 +59,11 @@ std::array<int, trace::kSubsystemCount> emit_crash_tickets(
   // Parallel rendering in blocks: each failure event renders its ticket (or
   // its monitoring loss) from a private stream into its own slot, then the
   // block commits serially — ticket ids follow event order, as before. The
-  // slots are reused from block to block, so a sink that only reads the
-  // tickets leaves their text buffers to the next block.
+  // slots own their text buffers and are reused from block to block; the
+  // sink copies what it keeps while the commit runs.
   std::array<int, trace::kSubsystemCount> crash_count{};
   std::vector<trace::Ticket> rendered(std::min(kRenderBlock, events.size()));
+  std::vector<text::TicketText> texts(rendered.size());
   std::vector<char> filed(rendered.size());
   for (std::size_t block = 0; block < events.size(); block += kRenderBlock) {
     const std::size_t n = std::min(kRenderBlock, events.size() - block);
@@ -93,13 +94,16 @@ std::array<int, trace::kSubsystemCount> emit_crash_tickets(
           repair[static_cast<std::size_t>(e.cause_class)].sample(rng);
       t.closed = e.at +
                  std::max<Duration>(1, from_hours(queue_hours + repair_hours));
+      text::TicketText& text = texts[j];
       text::generate_crash_text(e.recorded_class, config.text_style, rng,
-                                t.description, t.resolution);
+                                text.description, text.resolution);
+      t.description = text.description;
+      t.resolution = text.resolution;
     });
     // Compact the block (monitoring losses leave holes) and commit it as one
     // batch, letting the sink encode columns in parallel. Ticket ids still
     // follow event order: batches are committed serially, holes skipped.
-    // Swapping a ticket into the first hole keeps both slots' buffers.
+    // A ticket moved into a hole still views its own slot's text.
     std::size_t kept = 0;
     for (std::size_t j = 0; j < n; ++j) {
       if (!filed[j]) continue;
@@ -139,9 +143,11 @@ void emit_background_tickets(
   const auto background_repair =
       stats::LogNormal::from_mean_median(48.0, 8.0);
 
-  // Reused render slots, as in emit_crash_tickets; every field but the id
-  // (which the writer assigns) is set anew for each ticket.
+  // Reused render slots with their own text buffers, as in
+  // emit_crash_tickets; every field but the id (which the writer assigns)
+  // is set anew for each ticket.
   std::vector<trace::Ticket> rendered(std::min(kRenderBlock, slots.size()));
+  std::vector<text::TicketText> texts(rendered.size());
   for (std::size_t block = 0; block < slots.size(); block += kRenderBlock) {
     const std::size_t n = std::min(kRenderBlock, slots.size() - block);
     parallel_for(n, [&](std::size_t j) {
@@ -160,7 +166,10 @@ void emit_background_tickets(
       t.closed =
           t.opened + std::max<Duration>(
                          1, from_hours(background_repair.sample(rng)));
-      text::generate_background_text(rng, t.description, t.resolution);
+      text::TicketText& text = texts[j];
+      text::generate_background_text(rng, text.description, text.resolution);
+      t.description = text.description;
+      t.resolution = text.resolution;
     });
     writer.add_tickets(std::span(rendered.data(), n));
   }

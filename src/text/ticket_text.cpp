@@ -14,18 +14,6 @@ std::string_view pick(std::span<const std::string_view> pool, Rng& rng) {
       rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
 }
 
-// Replaces s with `first`. A string without room for it is rebuilt at its
-// exact size, as std::string(first) would be, so a caller that moves the
-// strings out after each render allocates exactly what the value-returning
-// form does; a string with room keeps its buffer.
-void start_text(std::string& s, std::string_view first) {
-  if (s.capacity() < first.size()) {
-    s = std::string(first);
-  } else {
-    s.assign(first);
-  }
-}
-
 void append_word(std::string& s, std::string_view word) {
   if (!s.empty()) s += ' ';
   s += word;
@@ -47,7 +35,7 @@ void generate_crash_text(trace::FailureClass recorded,
   const auto sig_pool = signature_words(recorded);
 
   // Description: crash symptom plus hint words.
-  start_text(description, pick(crash_symptoms(), rng));
+  description.assign(pick(crash_symptoms(), rng));
   for (int i = 0; i < (options.signature_words + 1) / 2; ++i) {
     append_word(description, pick(sig_pool, rng));
   }
@@ -56,7 +44,7 @@ void generate_crash_text(trace::FailureClass recorded,
   }
 
   // Resolution: what the support group did.
-  start_text(resolution, pick(resolution_phrases(recorded), rng));
+  resolution.assign(pick(resolution_phrases(recorded), rng));
   for (int i = 0; i < options.signature_words / 2; ++i) {
     append_word(resolution, pick(sig_pool, rng));
   }
@@ -92,12 +80,11 @@ TicketText generate_crash_text(trace::FailureClass recorded,
 
 void generate_background_text(Rng& rng, std::string& description,
                               std::string& resolution) {
-  start_text(description, pick(background_phrases(), rng));
+  description.assign(pick(background_phrases(), rng));
   for (int i = 0; i < 3; ++i) {
     append_word(description, pick(generic_words(), rng));
   }
-  start_text(resolution,
-             pick(resolution_phrases(trace::FailureClass::kOther), rng));
+  resolution.assign(pick(resolution_phrases(trace::FailureClass::kOther), rng));
   append_word(resolution, pick(generic_words(), rng));
 }
 

@@ -1,6 +1,7 @@
 #include "src/trace/chunk.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 
 #include "src/util/error.h"
@@ -45,6 +46,24 @@ std::uint32_t first_outside_domain(const std::uint8_t* values,
       std::find_if(values, values + rows,
                    [domain](std::uint8_t v) { return v >= domain; }) -
       values);
+}
+
+// Row of the first present value that is not finite, or `rows` when there
+// is none. In memory an absent optional double is NaN (OptionalDouble), so
+// a present NaN or infinity cannot be held and is refused. The finiteness
+// pass is branch-free; presence bits are read only when it fails.
+std::uint32_t first_nonfinite_present(const std::byte* bitmap,
+                                      const double* values,
+                                      std::uint32_t rows) {
+  bool any = false;
+  for (std::uint32_t r = 0; r < rows; ++r) any |= !std::isfinite(values[r]);
+  if (!any) return rows;
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    const bool present =
+        (static_cast<std::uint8_t>(bitmap[r / 8]) >> (r % 8)) & 1u;
+    if (present && !std::isfinite(values[r])) return r;
+  }
+  return rows;
 }
 
 }  // namespace
@@ -353,12 +372,10 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
 
 // ---- ColumnView ----
 
-std::string_view ColumnView::string_at(std::uint32_t row) const {
+std::string_view ColumnView::dictionary() const {
   require(encoding_ == Encoding::kStringDict,
-          "columnar: string_at on a non-dictionary column");
-  const std::uint32_t slot = indices_[row];
-  return {dict_bytes_ + dict_offsets_[slot],
-          dict_offsets_[slot + 1] - dict_offsets_[slot]};
+          "columnar: not a dictionary column");
+  return {dict_bytes_, dict_size_};
 }
 
 std::span<const std::int64_t> ColumnView::i64_span() const {
@@ -439,11 +456,21 @@ ChunkView::ChunkView(Table table, const ChunkInfo& info, const std::byte* base,
         }
         break;
       }
-      case Encoding::kOptFloat64:
+      case Encoding::kOptFloat64: {
         expect_size(bitmap_bytes + rows_ * 8ull);
         view.bitmap_ = p;
         view.values_ = p + bitmap_bytes;
+        const auto* values = reinterpret_cast<const double*>(view.values_);
+        const std::uint32_t bad =
+            first_nonfinite_present(view.bitmap_, values, rows_);
+        if (bad < rows_) {
+          throw Error("columnar: " + std::string(table_name(table)) + "." +
+                      std::string(schema[ci].name) + " row " +
+                      std::to_string(bad) + " holds " +
+                      std::to_string(values[bad]) + ", not a finite value");
+        }
         break;
+      }
       case Encoding::kOptInt32:
         expect_size(bitmap_bytes + rows_ * 4ull);
         view.bitmap_ = p;
@@ -468,6 +495,7 @@ ChunkView::ChunkView(Table table, const ChunkInfo& info, const std::byte* base,
             padded(blob_start + blob_size, 4);
         expect_size(indices_start + rows_ * sizeof(std::uint32_t));
         view.dict_bytes_ = reinterpret_cast<const char*>(p + blob_start);
+        view.dict_size_ = blob_size;
         view.indices_ = reinterpret_cast<const std::uint32_t*>(
             p + indices_start);
         // Non-decreasing offsets keep every slot's bytes inside the blob.

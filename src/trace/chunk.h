@@ -327,7 +327,18 @@ class ColumnView {
     if (bitmap_ == nullptr) return true;
     return (static_cast<std::uint8_t>(bitmap_[row / 8]) >> (row % 8)) & 1u;
   }
-  std::string_view string_at(std::uint32_t row) const;
+  // kStringDict: the dictionary blob (every slot's bytes back to back), and
+  // row `row`'s text: its slot within `dictionary`, which holds
+  // dictionary()'s bytes (the blob itself, or a copy that outlives the
+  // chunk). A reader that copies the blob once can point every row of the
+  // chunk into its copy.
+  std::string_view dictionary() const;
+  std::string_view slot_at(std::uint32_t row,
+                           std::string_view dictionary) const {
+    const std::uint32_t slot = indices_[row];
+    return {dictionary.data() + dict_offsets_[slot],
+            dict_offsets_[slot + 1] - dict_offsets_[slot]};
+  }
 
   // Typed zero-copy spans (throw on encoding mismatch).
   std::span<const std::int64_t> i64_span() const;
@@ -345,6 +356,7 @@ class ColumnView {
   // kStringDict:
   const std::uint32_t* dict_offsets_ = nullptr;
   const char* dict_bytes_ = nullptr;
+  std::uint32_t dict_size_ = 0;  // blob bytes
   const std::uint32_t* indices_ = nullptr;
 };
 

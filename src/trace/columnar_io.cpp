@@ -306,14 +306,12 @@ void fill_ticket_column(columnar::ChunkBuilder& b, std::span<const Ticket> t,
                            [&](std::size_t i) { return t[i].closed; });
       break;
     case kTicketDescription:
-      b.fill_strings(column, n, [&](std::size_t i) {
-        return std::string_view(t[i].description);
-      });
+      b.fill_strings(column, n,
+                     [&](std::size_t i) { return t[i].description; });
       break;
     case kTicketResolution:
-      b.fill_strings(column, n, [&](std::size_t i) {
-        return std::string_view(t[i].resolution);
-      });
+      b.fill_strings(column, n,
+                     [&](std::size_t i) { return t[i].resolution; });
       break;
   }
 }
@@ -772,18 +770,37 @@ FileReport save_columnar(const TraceDatabase& db, const std::string& path,
 
 namespace {
 
+// The strict load's error for row `r` of the `table` chunk that starts at
+// table row `first_row`: the row names `server`, past the file's `servers`
+// server rows.
+[[noreturn]] void fail_past_servers(const ChunkReader& reader, Table table,
+                                    std::int64_t first_row, std::uint32_t r,
+                                    std::int32_t server,
+                                    std::int64_t servers) {
+  std::size_t index = 0;
+  for (std::int64_t row = 0; row < first_row; ++index) {
+    row += reader.chunk_info(table, index).rows;
+  }
+  const ChunkInfo& info = reader.chunk_info(table, index);
+  throw ChunkError(reader.path(), table, index, info.offset, info.size,
+                   ReadDefect::kDecodeError,
+                   std::string(columnar::table_name(table)) + ".server row " +
+                       std::to_string(r) + " names server " +
+                       std::to_string(server) + ", past the servers table (" +
+                       std::to_string(servers) + " rows)");
+}
+
 // Adds every row of one monitoring table to `db` through decoder Rows,
-// except rows that name a lost server (counted in `dangling`).
-template <typename Rows, typename Lost, typename Add>
+// except rows that `dangles` drops.
+template <typename Rows, typename Dangles, typename Add>
 void load_monitoring(const ChunkReader& reader, Table table,
-                     DegradedReadReport* report, const Lost& lost,
-                     std::uint64_t& dangling, const Add& add) {
+                     DegradedReadReport* report, const Dangles& dangles,
+                     const Add& add) {
   for_each_chunk(reader, table, report,
-                 [&](const ChunkView& view, std::int64_t) {
+                 [&](const ChunkView& view, std::int64_t first_row) {
                    const Rows rows(view);
                    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-                     if (lost(rows.server[r])) {
-                       ++dangling;
+                     if (dangles(table, first_row, r, rows.server[r])) {
                        continue;
                      }
                      add(rows.row(r));
@@ -808,8 +825,7 @@ TraceDatabase load_columnar(const std::string& path, bool use_mmap,
 
   // Server ids are row positions, so once a server chunk is skipped every
   // later server is lost too: the servers table keeps its longest
-  // undamaged chunk prefix, and rows naming a lost server are dropped. A
-  // strict load loses none, so `lost` never fires there.
+  // undamaged chunk prefix.
   std::int64_t servers_loaded = 0;
   std::uint64_t dangling = 0;
   for_each_chunk(reader, Table::kServers, report,
@@ -824,33 +840,47 @@ TraceDatabase load_columnar(const std::string& path, bool use_mmap,
                    }
                    servers_loaded += view.rows();
                  });
-  const auto server_count =
-      static_cast<std::int64_t>(reader.row_count(Table::kServers));
-  const auto lost = [&](std::int32_t server) {
-    return server >= servers_loaded && server < server_count;
+  // A row naming a server at or past `servers_loaded` (lost with a skipped
+  // server chunk, or past the file's servers table) is dropped and counted
+  // by a degraded load. A strict load loses no server, so such a row names
+  // one the file lacks, and the load fails at its location.
+  const auto dangles = [&](Table table, std::int64_t first_row,
+                           std::uint32_t r, std::int32_t server) {
+    if (server < servers_loaded) return false;
+    if (report == nullptr) {
+      fail_past_servers(reader, table, first_row, r, server, servers_loaded);
+    }
+    ++dangling;
+    return true;
   };
 
   std::int32_t max_incident = -1;
-  for_each_chunk(reader, Table::kTickets, report,
-                 [&](const ChunkView& view, std::int64_t first_row) {
-                   const TicketRows rows(view, first_row);
-                   for (std::uint32_t r = 0; r < view.rows(); ++r) {
-                     if (lost(rows.server[r])) {
-                       ++dangling;
-                       continue;
-                     }
-                     max_incident = std::max(max_incident, rows.incident[r]);
-                     db.add_ticket(rows.row(r));
-                   }
-                 });
+  for_each_chunk(
+      reader, Table::kTickets, report,
+      [&](const ChunkView& view, std::int64_t first_row) {
+        const TicketRows rows(view, first_row);
+        // The chunk's two dictionaries are copied in once; each row views
+        // its slots in the copies.
+        const std::string_view description =
+            db.store_text(rows.description.dictionary());
+        const std::string_view resolution =
+            db.store_text(rows.resolution.dictionary());
+        for (std::uint32_t r = 0; r < view.rows(); ++r) {
+          if (dangles(Table::kTickets, first_row, r, rows.server[r])) {
+            continue;
+          }
+          max_incident = std::max(max_incident, rows.incident[r]);
+          db.add_stored_ticket(rows.row(r, description, resolution));
+        }
+      });
   load_monitoring<UsageRows>(
-      reader, Table::kWeeklyUsage, report, lost, dangling,
+      reader, Table::kWeeklyUsage, report, dangles,
       [&](const WeeklyUsage& u) { db.add_weekly_usage(u); });
   load_monitoring<PowerRows>(
-      reader, Table::kPowerEvents, report, lost, dangling,
+      reader, Table::kPowerEvents, report, dangles,
       [&](const PowerEvent& e) { db.add_power_event(e); });
   load_monitoring<SnapshotRows>(
-      reader, Table::kSnapshots, report, lost, dangling,
+      reader, Table::kSnapshots, report, dangles,
       [&](const MonthlySnapshot& s) { db.add_monthly_snapshot(s); });
   if (report != nullptr) report->rows_dropped_dangling += dangling;
 

@@ -102,7 +102,8 @@ struct DegradedReadReport {
   std::array<std::uint64_t, columnar::kTableCount> rows_skipped{};
   std::array<std::uint64_t, kReadDefectCount> by_defect{};
   // Rows a degraded load_columnar dropped: servers after a skipped server
-  // chunk, and rows that name one of those lost servers.
+  // chunk, and rows that name one of those lost servers or a server past
+  // the servers table.
   std::uint64_t rows_dropped_dangling = 0;
 
   void record(const ChunkError& error, std::uint32_t rows);
@@ -322,9 +323,16 @@ struct ServerRows {
   std::span<const std::int64_t> first_record;
 };
 
+// row(r) views its text in the chunk, valid while the ChunkView lives; a
+// reader that copies the two dictionary blobs (ColumnView::dictionary())
+// passes the copies to row(r, ...) to view them instead.
 struct TicketRows {
   TicketRows(const columnar::ChunkView& view, std::int64_t first_id);
   Ticket row(std::uint32_t r) const {
+    return row(r, description.dictionary(), resolution.dictionary());
+  }
+  Ticket row(std::uint32_t r, std::string_view description_dictionary,
+             std::string_view resolution_dictionary) const {
     Ticket t;
     t.id = TicketId{static_cast<std::int32_t>(first_id + r)};
     t.incident = IncidentId{incident[r]};
@@ -334,8 +342,8 @@ struct TicketRows {
     t.true_class = static_cast<FailureClass>(true_class[r]);
     t.opened = opened[r];
     t.closed = closed[r];
-    t.description = std::string(description.string_at(r));
-    t.resolution = std::string(resolution.string_at(r));
+    t.description = description.slot_at(r, description_dictionary);
+    t.resolution = resolution.slot_at(r, resolution_dictionary);
     return t;
   }
 
@@ -412,15 +420,19 @@ FileReport save_columnar(const TraceDatabase& db, const std::string& path,
                          std::uint32_t chunk_rows = kDefaultChunkRows);
 
 // Loads a columnar file into a finalized in-memory database (see
-// analysis/out_of_core.h for the streaming path). Strict when `report` is
-// null: any damaged chunk, or a value outside its column's domain, throws
-// a ChunkError naming the table, chunk and offset. With a report the load
-// degrades instead: damaged chunks are skipped and recorded, and later
-// chunks keep their row positions. Server ids are row positions, so a
-// skipped server chunk loses every server from it on (the servers table
-// keeps its longest undamaged chunk prefix), and rows that name a lost
-// server are dropped and counted as dangling. Every other row is kept
-// exactly as the strict load keeps it.
+// analysis/out_of_core.h for the streaming path). Each ticket chunk's two
+// dictionaries are copied into the database's text arena once, and every
+// ticket views its slots there. Strict when `report` is null: any damaged
+// chunk, a value outside its column's domain, a present non-finite
+// optional double, or a row naming a server past the servers table throws
+// a ChunkError naming the table, chunk and offset (and the row). With a
+// report the load degrades instead: damaged chunks are skipped and
+// recorded, and later chunks keep their row positions. Server ids are row
+// positions, so a skipped server chunk loses every server from it on (the
+// servers table keeps its longest undamaged chunk prefix), and rows that
+// name a server at or past the loaded prefix, lost or never in the file,
+// are dropped and counted as dangling. Every other row is kept exactly as
+// the strict load keeps it.
 TraceDatabase load_columnar(const std::string& path, bool use_mmap = true,
                             DegradedReadReport* report = nullptr);
 

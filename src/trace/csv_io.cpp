@@ -178,7 +178,7 @@ void save_database(const TraceDatabase& db, const std::string& directory) {
                    std::to_string(t.subsystem), t.is_crash ? "1" : "0",
                    std::string(to_string(t.true_class)),
                    std::to_string(t.opened), std::to_string(t.closed),
-                   t.description, t.resolution});
+                   std::string(t.description), std::string(t.resolution)});
     }
     w.flush();
   }
@@ -304,9 +304,9 @@ TraceDatabase load_database(const std::string& directory) {
       t.true_class = failure_class_from_string(row[5]);
       t.opened = parse_int(row[6]);
       t.closed = parse_int(row[7]);
-      t.description = row[8];
+      t.description = row[8];  // add_ticket copies the text in
       t.resolution = row[9];
-      const TicketId assigned = db.add_ticket(std::move(t));
+      const TicketId assigned = db.add_ticket(t);
       if (assigned.value != static_cast<std::int32_t>(parse_int(row[0]))) {
         throw Error("load_database: non-contiguous ticket ids in " + path);
       }

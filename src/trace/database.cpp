@@ -93,9 +93,21 @@ ServerId TraceDatabase::add_server(ServerRecord record) {
 
 TicketId TraceDatabase::add_ticket(Ticket ticket) {
   require(!finalized_, "TraceDatabase: mutation after finalize");
+  ticket.description = text_.store(ticket.description);
+  ticket.resolution = text_.store(ticket.resolution);
+  return add_stored_ticket(ticket);
+}
+
+std::string_view TraceDatabase::store_text(std::string_view text) {
+  require(!finalized_, "TraceDatabase: mutation after finalize");
+  return text_.store(text);
+}
+
+TicketId TraceDatabase::add_stored_ticket(Ticket ticket) {
+  require(!finalized_, "TraceDatabase: mutation after finalize");
   ticket.id = TicketId{static_cast<std::int32_t>(tickets_.size())};
-  tickets_.push_back(std::move(ticket));
-  return tickets_.back().id;
+  tickets_.push_back(ticket);
+  return ticket.id;
 }
 
 void TraceDatabase::add_weekly_usage(WeeklyUsage usage) {

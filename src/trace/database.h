@@ -11,19 +11,34 @@
 #include <vector>
 
 #include "src/trace/records.h"
+#include "src/trace/text_arena.h"
 #include "src/trace/types.h"
 #include "src/util/sim_time.h"
 
 namespace fa::trace {
 
+// Ticket text lives in the database's own arena, so every Ticket the
+// database hands out views bytes it owns. Moving the database keeps those
+// views valid; copying it is deleted.
 class TraceDatabase {
  public:
   TraceDatabase();
+  TraceDatabase(TraceDatabase&&) = default;
+  TraceDatabase& operator=(TraceDatabase&&) = default;
+  TraceDatabase(const TraceDatabase&) = delete;
+  TraceDatabase& operator=(const TraceDatabase&) = delete;
 
   // ---- construction (simulator / CSV loader) ----
   // Assigns and returns the record id.
   ServerId add_server(ServerRecord record);
+  // Copies the ticket's text into the arena; the caller's text may go
+  // away once this returns.
   TicketId add_ticket(Ticket ticket);
+  // Bulk text for loaders: store_text copies `text` (say, one chunk's
+  // dictionary) into the arena and returns the copy; add_stored_ticket
+  // adds a ticket whose text already views such copies, as it is.
+  std::string_view store_text(std::string_view text);
+  TicketId add_stored_ticket(Ticket ticket);
   void add_weekly_usage(WeeklyUsage usage);
   void add_power_event(PowerEvent event);
   void add_monthly_snapshot(MonthlySnapshot snapshot);
@@ -102,6 +117,7 @@ class TraceDatabase {
   ObservationWindow onoff_;
   std::vector<ServerRecord> servers_;
   std::vector<Ticket> tickets_;
+  TextArena text_;  // every ticket's description and resolution
   std::vector<WeeklyUsage> weekly_usage_;
   std::vector<PowerEvent> power_events_;
   std::vector<MonthlySnapshot> snapshots_;

@@ -95,7 +95,7 @@ bool TicketFilter::chunk_may_match(const columnar::ChunkInfo& info) const {
   return true;
 }
 
-std::vector<Ticket> TicketFilter::scan_columnar(
+ScannedTickets TicketFilter::scan_columnar(
     const ChunkReader& reader) const {
   static obs::Counter& skipped =
       obs::counter("fa.trace.pushdown.chunks_skipped");
@@ -116,7 +116,7 @@ std::vector<Ticket> TicketFilter::scan_columnar(
                    });
   }
 
-  std::vector<Ticket> out;
+  ScannedTickets out;
   std::int64_t first_row = 0;
   const std::size_t chunks = reader.chunk_count(columnar::Table::kTickets);
   for (std::size_t i = 0; i < chunks; ++i) {
@@ -151,7 +151,10 @@ std::vector<Ticket> TicketFilter::scan_columnar(
           continue;
         }
       }
-      out.push_back(rows.row(r));
+      Ticket t = rows.row(r);
+      t.description = out.text.store(t.description);
+      t.resolution = out.text.store(t.resolution);
+      out.tickets.push_back(t);
     }
     reader.release(columnar::Table::kTickets, i);
     first_row += info.rows;

@@ -7,8 +7,17 @@
 
 #include "src/trace/columnar_io.h"
 #include "src/trace/database.h"
+#include "src/trace/text_arena.h"
 
 namespace fa::trace {
+
+// The tickets a pushdown scan matched, in table order, with their text:
+// every description and resolution views `text`, so the tickets stay valid
+// for this object's lifetime, after the ChunkReader that served them.
+struct ScannedTickets {
+  std::vector<Ticket> tickets;
+  TextArena text;
+};
 
 class TicketFilter {
  public:
@@ -44,14 +53,15 @@ class TicketFilter {
   bool chunk_may_match(const columnar::ChunkInfo& info) const;
 
   // Scans the ticket table of a columnar file chunk-at-a-time, skipping
-  // chunks via chunk_may_match and materializing matching tickets only;
-  // each scanned chunk is released once its rows are copied out
+  // chunks via chunk_may_match and materializing matching tickets only,
+  // their text copied into the result; each scanned chunk is released
+  // once its rows are copied out
   // (ChunkReader::release). Skipped/scanned chunk counts land in the
   // deterministic counters fa.trace.pushdown.chunks_skipped /
   // .chunks_scanned. A machine_type() predicate reads the servers table
   // once (one byte of state per server); everything else needs no
   // server-side state at all.
-  std::vector<Ticket> scan_columnar(const ChunkReader& reader) const;
+  ScannedTickets scan_columnar(const ChunkReader& reader) const;
 
  private:
   bool crash_only_ = false;

@@ -1,12 +1,14 @@
 // Flat record types of the three data sources the paper joins:
 // the inventory (server configuration) DB, the ticket DB, and the resource
 // monitoring DB. Fields the paper reports as unavailable for PMs (disk
-// capacity/count, disk/network usage) are std::optional and left empty by
-// the simulator for PMs, so the analysis faces the same data gaps.
+// capacity/count, disk/network usage) are optional and left empty by the
+// simulator for PMs, so the analysis faces the same data gaps.
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "src/trace/types.h"
 #include "src/util/sim_time.h"
@@ -37,6 +39,12 @@ struct ServerRecord {
 // Ticket DB row. `true_class` is simulation ground truth carried for
 // classifier evaluation only; the analysis pipeline classifies from the
 // description/resolution text exactly as the paper does.
+//
+// The text fields view bytes the row does not own. A TraceDatabase keeps
+// its tickets' text in its own arena (TraceDatabase::add_ticket copies it
+// in), so a row read from a database is valid as long as the database; a
+// row handed to a TraceWriter or ColumnarWriter needs its text only for the
+// duration of the call.
 struct Ticket {
   TicketId id;
   IncidentId incident;   // tickets of one failure incident share this
@@ -48,10 +56,43 @@ struct Ticket {
   TimePoint opened = 0;  // failure timestamp (ticket issuing time)
   TimePoint closed = 0;  // ticket closing time; repair time = closed - opened
 
-  std::string description;
-  std::string resolution;
+  std::string_view description;
+  std::string_view resolution;
 
   Duration repair_time() const { return closed - opened; }
+};
+
+// An optional double in 8 bytes: NaN marks the absent value, so a present
+// value is never NaN (the loaders refuse non-finite measurements before
+// they reach a row). It answers the calls std::optional<double> answers
+// for the usage fields, and converts to one.
+class OptionalDouble {
+ public:
+  using value_type = double;
+
+  constexpr OptionalDouble() = default;
+  constexpr OptionalDouble(double v) : value_(v) {}
+  constexpr OptionalDouble(const std::optional<double>& v)
+      : value_(v.value_or(kAbsent)) {}
+
+  bool has_value() const { return !std::isnan(value_); }
+  explicit operator bool() const { return has_value(); }
+  double operator*() const { return value_; }
+  double value_or(double fallback) const {
+    return has_value() ? value_ : fallback;
+  }
+  void reset() { value_ = kAbsent; }
+  operator std::optional<double>() const {
+    return has_value() ? std::optional<double>(value_) : std::nullopt;
+  }
+
+  friend bool operator==(const OptionalDouble& a, const OptionalDouble& b) {
+    return a.has_value() ? b.has_value() && *a == *b : !b.has_value();
+  }
+
+ private:
+  static constexpr double kAbsent = std::numeric_limits<double>::quiet_NaN();
+  double value_ = kAbsent;
 };
 
 // Monitoring DB row: weekly average resource usage for one machine.
@@ -61,8 +102,8 @@ struct WeeklyUsage {
   int week = 0;            // index within the ticket observation year
   double cpu_util = 0.0;   // [0, 100] %
   double mem_util = 0.0;   // [0, 100] %
-  std::optional<double> disk_util;  // [0, 100] %
-  std::optional<double> net_kbps;   // transfer volume
+  OptionalDouble disk_util;  // [0, 100] %
+  OptionalDouble net_kbps;   // transfer volume
 };
 
 // Monitoring DB row: power-state transition reconstructed from the 15-min

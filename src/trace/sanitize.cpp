@@ -124,9 +124,11 @@ std::optional<FieldDefect> scan_double(const std::string& name,
   return std::nullopt;
 }
 
+// `Optional` is std::optional<double> or OptionalDouble.
+template <typename Optional>
 std::optional<FieldDefect> scan_opt_double(const std::string& name,
                                            const std::string& value,
-                                           std::optional<double>* out) {
+                                           Optional* out) {
   if (value.empty()) {
     out->reset();
     return std::nullopt;
@@ -149,11 +151,15 @@ struct StagedServer {
   std::size_t row = 0;
 };
 
+// The row's text is held here, not in the reused CSV row buffer; `t` views
+// it only once the ticket is added.
 struct StagedTicket {
   std::int64_t file_id = 0;
   std::optional<std::int64_t> incident;
   std::optional<std::int64_t> server;
   Ticket t;  // server/incident filled during resolution
+  std::string description;
+  std::string resolution;
   std::size_t row = 0;
 };
 
@@ -513,8 +519,8 @@ SanitizedDatabase sanitize_database(const std::string& directory) {
       st.t.is_crash = *is_crash != 0;
       st.t.opened = *opened;
       st.t.closed = *closed;
-      st.t.description = row[8];
-      st.t.resolution = row[9];
+      st.description = row[8];
+      st.resolution = row[9];
       const auto cls = try_failure_class(row[5]);
       if (cls) {
         st.t.true_class = *cls;
@@ -602,7 +608,9 @@ SanitizedDatabase sanitize_database(const std::string& directory) {
         st.t.closed += opened - st.t.opened;
         st.t.opened = opened;
       }
-      db.add_ticket(std::move(st.t));
+      st.t.description = st.description;
+      st.t.resolution = st.resolution;
+      db.add_ticket(st.t);
       audit.keep();
     }
   }

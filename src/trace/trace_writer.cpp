@@ -17,7 +17,7 @@ TicketId TraceWriter::add_ticket(Ticket ticket) {
   require(ticket.subsystem < kSubsystemCount,
           "TraceWriter: ticket with invalid subsystem");
   ++tickets_by_subsystem_[ticket.subsystem];
-  do_add_ticket(std::move(ticket));
+  do_add_ticket(ticket);
   return id;
 }
 
@@ -32,7 +32,7 @@ void TraceWriter::add_tickets(std::span<Ticket> tickets) {
 }
 
 void TraceWriter::do_add_tickets(std::span<Ticket> tickets) {
-  for (Ticket& ticket : tickets) do_add_ticket(std::move(ticket));
+  for (const Ticket& ticket : tickets) do_add_ticket(ticket);
 }
 
 void TraceWriter::add_weekly_usage(const WeeklyUsage& usage) {
@@ -86,13 +86,9 @@ void DatabaseTraceWriter::do_add_server(const ServerRecord& record) {
 
 void DatabaseTraceWriter::do_add_ticket(Ticket ticket) {
   const TicketId expected = ticket.id;
-  const TicketId assigned = db_.add_ticket(std::move(ticket));
+  const TicketId assigned = db_.add_ticket(ticket);
   require(assigned == expected,
           "DatabaseTraceWriter: writer/database ticket id mismatch");
-}
-
-void DatabaseTraceWriter::do_add_tickets(std::span<Ticket> tickets) {
-  for (Ticket& ticket : tickets) do_add_ticket(std::move(ticket));
 }
 
 }  // namespace fa::trace

@@ -51,7 +51,8 @@ class TraceWriter {
   TicketId add_ticket(Ticket ticket);
   // Batch commit: assigns contiguous ids in span order (serially, so ids are
   // independent of the sink), then hands the whole batch to the sink, which
-  // may encode it with column-level parallelism. Tickets are consumed.
+  // may encode it with column-level parallelism. A ticket's text must stay
+  // valid only for the call: a sink that keeps it copies it.
   void add_tickets(std::span<Ticket> tickets);
   void add_weekly_usage(const WeeklyUsage& usage);
   void add_power_event(const PowerEvent& event);
@@ -129,7 +130,6 @@ class DatabaseTraceWriter final : public TraceWriter {
  protected:
   void do_add_server(const ServerRecord& record) override;
   void do_add_ticket(Ticket ticket) override;
-  void do_add_tickets(std::span<Ticket> tickets) override;
   void do_add_weekly_usage(const WeeklyUsage& usage) override {
     db_.add_weekly_usage(usage);
   }

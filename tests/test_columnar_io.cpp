@@ -1,5 +1,6 @@
 #include "src/trace/columnar_io.h"
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -7,7 +8,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -435,11 +439,18 @@ TEST_F(ColumnarIoTest, SpanCommitsMatchPerRowHooks) {
 // Tickets whose text exercises every dictionary path at 1,500-row chunks:
 // empty strings, values repeated within a chunk and across chunk
 // boundaries, more than 1,024 distinct values in one chunk (the lookup
-// table grows), bytes >= 0x80 and an embedded NUL.
-std::vector<Ticket> dictionary_edge_tickets() {
+// table grows), bytes >= 0x80 and an embedded NUL. The tickets view text
+// in `text`.
+struct EdgeTickets {
+  std::vector<Ticket> tickets;
+  TextArena text;
+};
+EdgeTickets dictionary_edge_tickets() {
   const std::string specials[] = {"", std::string("nul\0inside", 10),
                                   "caf\xc3\xa9 \xff\x80", "disk failure"};
-  std::vector<Ticket> tickets(3100);
+  EdgeTickets edge;
+  std::vector<Ticket>& tickets = edge.tickets;
+  tickets.resize(3100);
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     Ticket& t = tickets[i];
     t.server = ServerId{static_cast<std::int32_t>(i % 3)};
@@ -449,11 +460,12 @@ std::vector<Ticket> dictionary_edge_tickets() {
     t.true_class = kAllFailureClasses[i % kAllFailureClasses.size()];
     t.opened = ticket_window().begin + static_cast<TimePoint>(i) * 60;
     t.closed = t.opened + 30 + static_cast<Duration>(i % 7);
-    t.description = i % 100 == 0 ? specials[(i / 100) % 4]
-                                 : "event " + std::to_string(i % 1500);
-    t.resolution = specials[i % 4];
+    t.description = edge.text.store(
+        i % 100 == 0 ? specials[(i / 100) % 4]
+                     : "event " + std::to_string(i % 1500));
+    t.resolution = edge.text.store(specials[i % 4]);
   }
-  return tickets;
+  return edge;
 }
 
 // Pins the encoder's output bytes: the other byte-identity tests compare
@@ -463,7 +475,8 @@ std::vector<Ticket> dictionary_edge_tickets() {
 TEST_F(ColumnarIoTest, DictionaryEdgeCasesEncodeToPinnedBytes) {
   constexpr std::uint64_t kPinnedSize = 151259;
   constexpr std::uint64_t kPinnedDigest = 0x55c6038218c0be5fULL;
-  const std::vector<Ticket> tickets = dictionary_edge_tickets();
+  const EdgeTickets edge = dictionary_edge_tickets();
+  const std::vector<Ticket>& tickets = edge.tickets;
   const auto write = [&](const std::string& name, bool batch) {
     ColumnarWriter writer(path(name), 1500);
     for (int s = 0; s < 3; ++s) {
@@ -551,7 +564,8 @@ TEST_F(ColumnarIoTest, PushdownScanMatchesInMemoryFilter) {
   };
   for (const TicketFilter& filter : filters) {
     const std::vector<const Ticket*> expected = filter.apply(db);
-    const std::vector<Ticket> actual = filter.scan_columnar(reader);
+    const ScannedTickets scanned = filter.scan_columnar(reader);
+    const std::vector<Ticket>& actual = scanned.tickets;
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < actual.size(); ++i) {
       EXPECT_EQ(actual[i].id, expected[i]->id);
@@ -577,7 +591,7 @@ TEST_F(ColumnarIoTest, PushdownSkipsChunksThatCannotMatch) {
         !none.chunk_may_match(reader.chunk_info(columnar::Table::kTickets, c));
   }
   EXPECT_EQ(skipped, chunks);
-  EXPECT_TRUE(none.scan_columnar(reader).empty());
+  EXPECT_TRUE(none.scan_columnar(reader).tickets.empty());
 
   // A single-server predicate must skip at least the chunks whose id range
   // excludes that server (tickets are appended roughly in time order, but
@@ -650,10 +664,129 @@ TEST_F(ColumnarIoTest, ChunkWalksKeepOneChunkResident) {
 
   const long before_scan = rss_file_kb();
   const ChunkReader scanned(path("trace.fac"));
-  ASSERT_FALSE(TicketFilter().scan_columnar(scanned).empty());
+  ASSERT_FALSE(TicketFilter().scan_columnar(scanned).tickets.empty());
   EXPECT_LT(rss_file_kb() - before_scan, bound_kb)
       << "a scan of " << scanned.row_count(columnar::Table::kTickets)
       << " tickets";
+}
+
+// ---- rows at their data size, and the lifetime of their text ----
+
+// A ticket is its scalars and two text views; a usage row holds its two
+// optional measurements in 8 bytes each (NaN marks the absent value).
+static_assert(sizeof(Ticket) == 64);
+static_assert(sizeof(WeeklyUsage) == 40);
+// A copy would view the source's text arena, so there is none.
+static_assert(!std::is_copy_constructible_v<TraceDatabase>);
+static_assert(std::is_nothrow_move_constructible_v<TraceDatabase>);
+
+// The loaded database's heap is its rows, each ticket chunk's two text
+// dictionaries (copied in once), the per-server indexes and 1 MB. A heap
+// string per text field would overshoot this by the allocator's
+// per-string cost.
+TEST_F(ColumnarIoTest, LoadedRowsStayAtTheirDataSize) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "the sanitizer's allocator does not report mallinfo2";
+#endif
+  {
+    ColumnarTraceWriter writer(path("trace.fac"));
+    sim::simulate_to(sim::SimulationConfig::paper_defaults().scaled(0.5),
+                     writer);
+  }
+  using columnar::Table;
+  std::uint64_t dictionary_bytes = 0;
+  std::uint64_t crash_tickets = 0;
+  std::uint64_t row_bytes = 0;
+  std::uint64_t servers = 0;
+  {
+    const ChunkReader reader(path("trace.fac"));
+    for_each_chunk(reader, Table::kTickets, nullptr,
+                   [&](const columnar::ChunkView& view, std::int64_t) {
+                     using namespace columnar::col;
+                     dictionary_bytes +=
+                         view.column(kTicketDescription).dictionary().size() +
+                         view.column(kTicketResolution).dictionary().size();
+                     for (std::uint8_t c :
+                          view.column(kTicketIsCrash).u8_span()) {
+                       crash_tickets += c;
+                     }
+                   });
+    servers = reader.row_count(Table::kServers);
+    row_bytes =
+        servers * sizeof(ServerRecord) +
+        reader.row_count(Table::kTickets) * sizeof(Ticket) +
+        reader.row_count(Table::kWeeklyUsage) * sizeof(WeeklyUsage) +
+        reader.row_count(Table::kPowerEvents) * sizeof(PowerEvent) +
+        reader.row_count(Table::kSnapshots) * sizeof(MonthlySnapshot);
+  }
+  // Four dense offset arrays (servers + 1 entries each) and one position
+  // per crash ticket.
+  const std::uint64_t index_bytes =
+      (4 * (servers + 1) + crash_tickets) * sizeof(std::size_t);
+  const auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<std::uint64_t>(info.uordblks + info.hblkhd);
+  };
+
+  const std::uint64_t before = heap_bytes();
+  const TraceDatabase db = load_columnar(path("trace.fac"));
+  const std::uint64_t grown = heap_bytes() - before;
+  ASSERT_GT(db.tickets().size(), 0u);
+  EXPECT_GE(grown, row_bytes);
+  EXPECT_LE(grown, row_bytes + dictionary_bytes + index_bytes + (1u << 20))
+      << "rows " << row_bytes << " B, dictionaries " << dictionary_bytes
+      << " B, indexes " << index_bytes << " B";
+}
+
+// Every ticket's text lives in the database's arena, which a move hands
+// over unchanged: the moved-to database reads the same text after the
+// source is destroyed, for both ways text enters (copied per ticket by
+// simulate(), adopted per chunk by load_columnar).
+TEST_F(ColumnarIoTest, MovedDatabaseKeepsItsTicketText) {
+  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.05);
+  save_columnar(sim::simulate(config), path("trace.fac"), 512);
+  for (const bool loaded : {false, true}) {
+    SCOPED_TRACE(loaded ? "load_columnar" : "simulate");
+    std::optional<TraceDatabase> source;
+    if (loaded) {
+      source.emplace(load_columnar(path("trace.fac")));
+    } else {
+      source.emplace(sim::simulate(config));
+    }
+    std::vector<std::string> saved;
+    for (const Ticket& t : source->tickets()) {
+      saved.emplace_back(t.description);
+      saved.emplace_back(t.resolution);
+    }
+    const TraceDatabase moved = std::move(*source);
+    source.reset();
+    ASSERT_EQ(moved.tickets().size() * 2, saved.size());
+    for (std::size_t i = 0; i < moved.tickets().size(); ++i) {
+      ASSERT_EQ(moved.tickets()[i].description, saved[2 * i]) << i;
+      ASSERT_EQ(moved.tickets()[i].resolution, saved[2 * i + 1]) << i;
+    }
+  }
+}
+
+// A pushdown scan's tickets carry their own text, so they read the same
+// after the reader (and its mapping or chunk buffers) is gone.
+TEST_F(ColumnarIoTest, ScannedTicketsOutliveTheirReader) {
+  const TraceDatabase& db = fa::testing::small_simulated_db();
+  save_columnar(db, path("trace.fac"), 4096);
+  const TicketFilter filter = TicketFilter{}.crash_only();
+  const std::vector<const Ticket*> expected = filter.apply(db);
+  for (const bool use_mmap : {true, false}) {
+    SCOPED_TRACE(use_mmap ? "mapped" : "buffered");
+    const ScannedTickets scanned = [&] {
+      const ChunkReader reader(path("trace.fac"), use_mmap);
+      return filter.scan_columnar(reader);
+    }();
+    ASSERT_EQ(scanned.tickets.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(scanned.tickets[i].description, expected[i]->description);
+      ASSERT_EQ(scanned.tickets[i].resolution, expected[i]->resolution);
+    }
+  }
 }
 
 // ---- out-of-core aggregation (analysis/out_of_core.h) ----

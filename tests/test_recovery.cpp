@@ -94,6 +94,37 @@ class RecoveryTest : public ::testing::Test {
   fs::path dir_;
 };
 
+// Overwrites byte `at` of column block `column` in chunk `index` of
+// `table` (for a u8 column, the value of row `at`), then re-signs the
+// chunk's checksum in the footer directory and in its frame header, and
+// the footer's own checksum. The footer's min/max stats keep their old
+// values, so they still vouch for the chunk.
+std::string forge_byte(std::string bytes, columnar::Table table,
+                       std::size_t index, std::size_t column,
+                       std::uint64_t at, std::uint8_t value) {
+  auto* base = reinterpret_cast<std::byte*>(bytes.data());
+  const std::size_t tail = bytes.size() - format::kTailBytes;
+  std::uint64_t footer_size = 0;
+  std::memcpy(&footer_size, base + tail, sizeof(footer_size));
+  const std::size_t footer_start = tail - footer_size;
+  format::FooterImage image = format::parse_footer_payload(
+      base + footer_start, footer_size, footer_start, "forged");
+  columnar::ChunkInfo& chunk =
+      image.directory[static_cast<std::size_t>(table)][index];
+  base[chunk.columns[column].offset + at] = std::byte{value};
+  chunk.checksum = columnar::fnv1a(base + chunk.offset, chunk.size);
+  // The frame header ends with the payload checksum (columnar_format.h).
+  std::memcpy(base + chunk.offset - 8, &chunk.checksum, 8);
+  const std::vector<std::byte> footer =
+      format::serialize_footer_payload(image);
+  EXPECT_EQ(footer.size(), footer_size);
+  std::memcpy(base + footer_start, footer.data(), footer.size());
+  const std::uint64_t footer_checksum =
+      columnar::fnv1a(footer.data(), footer.size());
+  std::memcpy(base + tail + 8, &footer_checksum, 8);
+  return bytes;
+}
+
 // ---- salvage scan ----
 
 TEST_F(RecoveryTest, ScanOnFinishedFileSeesEveryChunk) {
@@ -294,27 +325,23 @@ TEST_F(RecoveryTest, RecoveringADamagedFinishedFileKeepsEveryIntactChunk) {
       << "recover(recover(x)) != recover(x)";
 }
 
-// A crash before the servers' partial chunk is flushed recovers to a file
-// whose crash tickets name servers it lacks, so its degraded load fails
-// (finalize() refuses them). With one of its chunks damaged, recovery
-// still keeps the frame prefix before that chunk.
+// A finished file whose degraded load fails (a ticket forged to close
+// before it opens, which finalize() refuses): with one of its chunks
+// damaged, recovery still keeps the frame prefix before that chunk.
 TEST_F(RecoveryTest, RecoveringADamagedFileWhoseLoadFailsKeepsTheFramePrefix) {
-  const TraceDatabase& db = torture_db();
-  ASSERT_FALSE(write_with_crash(db, "ref.fac", -1));
-  const std::string reference = read_file(dir_ / "ref.fac");
-  ASSERT_TRUE(write_with_crash(
-      db, "crashed.fac", static_cast<std::int64_t>(reference.size() * 2 / 3)));
-  recover_columnar(path("crashed.fac"), path("r1.fac"));
-  DegradedReadReport ignored;
-  ASSERT_THROW(load_columnar(path("r1.fac"), true, &ignored), Error);
-
-  std::string bytes = read_file(dir_ / "r1.fac");
-  const ChunkReader r1(path("r1.fac"));
+  ASSERT_FALSE(write_with_crash(torture_db(), "clean.fac", -1));
+  const ChunkReader clean(path("clean.fac"));
   const auto tickets = columnar::Table::kTickets;
-  ASSERT_GT(r1.chunk_count(tickets), 2u);
-  const columnar::ChunkInfo& victim = r1.chunk_info(tickets, 1);
+  ASSERT_GT(clean.chunk_count(tickets), 2u);
+  // The top byte of ticket chunk 2's first `opened` value moves it far
+  // past its `closed`.
+  std::string bytes = forge_byte(read_file(dir_ / "clean.fac"), tickets, 2,
+                                 columnar::col::kTicketOpened, 7, 0x40);
+  const columnar::ChunkInfo& victim = clean.chunk_info(tickets, 1);
   bytes[victim.offset + victim.size / 2] ^= 0x01;
   write_file(dir_ / "bad.fac", bytes);
+  DegradedReadReport ignored;
+  ASSERT_THROW(load_columnar(path("bad.fac"), true, &ignored), Error);
 
   const SalvageReport report =
       recover_columnar(path("bad.fac"), path("r2.fac"));
@@ -325,6 +352,51 @@ TEST_F(RecoveryTest, RecoveringADamagedFileWhoseLoadFailsKeepsTheFramePrefix) {
   const ChunkReader r2(path("r2.fac"));
   EXPECT_EQ(r2.row_count(tickets),
             report.scan.rows_salvageable[static_cast<std::size_t>(tickets)]);
+}
+
+// A crash before the servers' only (partial) chunk is flushed recovers to
+// a file with no servers whose tickets name servers anyway. The degraded
+// load drops and counts every row that names a server past the servers
+// table; the strict load refuses the first such row at its location.
+TEST_F(RecoveryTest, RowsNamingServersPastTheServersTableAreDangling) {
+  const TraceDatabase& db = torture_db();
+  ASSERT_FALSE(write_with_crash(db, "ref.fac", -1));
+  const std::string reference = read_file(dir_ / "ref.fac");
+  ASSERT_TRUE(write_with_crash(
+      db, "crashed.fac", static_cast<std::int64_t>(reference.size() * 2 / 3)));
+  recover_columnar(path("crashed.fac"), path("recovered.fac"));
+  const ChunkReader reader(path("recovered.fac"));
+  const auto tickets = columnar::Table::kTickets;
+  ASSERT_EQ(reader.row_count(columnar::Table::kServers), 0u);
+  ASSERT_EQ(reader.row_count(tickets), 2304u);
+  std::uint64_t rows = 0;
+  for (columnar::Table table : columnar::kAllTables) {
+    rows += reader.row_count(table);
+  }
+
+  DegradedReadReport report;
+  const TraceDatabase loaded =
+      load_columnar(path("recovered.fac"), true, &report);
+  EXPECT_EQ(report.rows_dropped_dangling, rows);
+  EXPECT_EQ(report.total_rows_skipped(), 0u);
+  EXPECT_TRUE(report.degraded());
+  EXPECT_TRUE(loaded.tickets().empty());
+
+  try {
+    load_columnar(path("recovered.fac"));
+    FAIL() << "strict load accepted tickets naming no loaded server";
+  } catch (const ChunkError& e) {
+    EXPECT_EQ(e.table(), tickets);
+    EXPECT_EQ(e.index(), 0u);
+    EXPECT_EQ(e.offset(), reader.chunk_info(tickets, 0).offset);
+    EXPECT_EQ(e.defect(), ReadDefect::kDecodeError);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tickets.server row 0 names server "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("past the servers table (0 rows)"), std::string::npos)
+        << what;
+  }
 }
 
 // ---- footer checkpoints (loss bound + metadata recovery) ----
@@ -587,37 +659,6 @@ TEST_F(RecoveryTest, ChunkErrorNamesTableChunkAndOffset) {
 
 // ---- forged values: every checksum re-signed, only the domain check left ----
 
-// Overwrites byte `at` of column block `column` in chunk `index` of
-// `table` (for a u8 column, the value of row `at`), then re-signs the
-// chunk's checksum in the footer directory and in its frame header, and
-// the footer's own checksum. The footer's min/max stats keep their old
-// values, so they still vouch for the chunk.
-std::string forge_byte(std::string bytes, columnar::Table table,
-                       std::size_t index, std::size_t column,
-                       std::uint64_t at, std::uint8_t value) {
-  auto* base = reinterpret_cast<std::byte*>(bytes.data());
-  const std::size_t tail = bytes.size() - format::kTailBytes;
-  std::uint64_t footer_size = 0;
-  std::memcpy(&footer_size, base + tail, sizeof(footer_size));
-  const std::size_t footer_start = tail - footer_size;
-  format::FooterImage image = format::parse_footer_payload(
-      base + footer_start, footer_size, footer_start, "forged");
-  columnar::ChunkInfo& chunk =
-      image.directory[static_cast<std::size_t>(table)][index];
-  base[chunk.columns[column].offset + at] = std::byte{value};
-  chunk.checksum = columnar::fnv1a(base + chunk.offset, chunk.size);
-  // The frame header ends with the payload checksum (columnar_format.h).
-  std::memcpy(base + chunk.offset - 8, &chunk.checksum, 8);
-  const std::vector<std::byte> footer =
-      format::serialize_footer_payload(image);
-  EXPECT_EQ(footer.size(), footer_size);
-  std::memcpy(base + footer_start, footer.data(), footer.size());
-  const std::uint64_t footer_checksum =
-      columnar::fnv1a(footer.data(), footer.size());
-  std::memcpy(base + tail + 8, &footer_checksum, 8);
-  return bytes;
-}
-
 TEST_F(RecoveryTest, ForgedTicketEnumFailsEveryReaderAtItsLocation) {
   ASSERT_FALSE(write_with_crash(torture_db(), "clean.fac", -1));
   const std::string clean = read_file(dir_ / "clean.fac");
@@ -774,6 +815,60 @@ TEST_F(RecoveryTest, ForgedDictionaryFailsTheLoadAtItsLocation) {
           << e.what();
     }
   }
+}
+
+// An absent optional double is NaN in memory (OptionalDouble), so a
+// present NaN or infinity cannot be held: the decoder refuses it at its
+// location, and a degraded load skips the chunk.
+TEST_F(RecoveryTest, ForgedNonFiniteUsageFailsTheLoadAtItsLocation) {
+  ASSERT_FALSE(write_with_crash(torture_db(), "clean.fac", -1));
+  const ChunkReader reader(path("clean.fac"));
+  const auto usage = columnar::Table::kWeeklyUsage;
+  ASSERT_GT(reader.chunk_count(usage), 2u);
+  const columnar::ChunkInfo& victim = reader.chunk_info(usage, 1);
+  std::uint32_t row = 0;
+  {
+    const columnar::ChunkView view = reader.chunk(usage, 1);
+    const columnar::ColumnView& disk =
+        view.column(columnar::col::kUsageDiskUtil);
+    while (row < view.rows() && !disk.present_at(row)) ++row;
+    ASSERT_LT(row, view.rows()) << "no VM row in the chunk";
+  }
+
+  // The block is the presence bitmap (padded to 8 bytes) and then the
+  // values; bytes 6 and 7 of a double hold its sign and exponent, and
+  // 0x7ff0 sets every exponent bit.
+  const std::uint64_t bitmap_bytes = (victim.rows + 63) / 64 * 8;
+  const std::uint64_t at = bitmap_bytes + std::uint64_t{row} * 8;
+  std::string bytes = read_file(dir_ / "clean.fac");
+  bytes = forge_byte(bytes, usage, 1, columnar::col::kUsageDiskUtil, at + 6,
+                     0xf0);
+  bytes = forge_byte(bytes, usage, 1, columnar::col::kUsageDiskUtil, at + 7,
+                     0x7f);
+  write_file(dir_ / "forged.fac", bytes);
+  try {
+    load_columnar(path("forged.fac"));
+    FAIL() << "strict load accepted a non-finite disk_util";
+  } catch (const ChunkError& e) {
+    EXPECT_EQ(e.defect(), ReadDefect::kDecodeError);
+    EXPECT_EQ(e.table(), usage);
+    EXPECT_EQ(e.index(), 1u);
+    EXPECT_EQ(e.offset(), victim.offset);
+    const std::string detail = "weekly_usage.disk_util row " +
+                               std::to_string(row) + " holds ";
+    EXPECT_NE(std::string(e.what()).find(detail), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("not a finite value"),
+              std::string::npos)
+        << e.what();
+  }
+
+  DegradedReadReport report;
+  const TraceDatabase partial =
+      load_columnar(path("forged.fac"), true, &report);
+  EXPECT_EQ(report.chunks_skipped[static_cast<std::size_t>(usage)], 1u);
+  EXPECT_EQ(partial.weekly_usage().size(),
+            reader.row_count(usage) - victim.rows);
 }
 
 // ---- mmap-failure fallback (satellite: forced buffered mode) ----

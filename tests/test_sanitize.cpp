@@ -83,6 +83,25 @@ TEST_F(SanitizeTest, CleanSimulatedExportHasZeroDefects) {
             original.tickets().size());
 }
 
+// The sanitizer stages tickets before it adds them, while the CSV reader
+// reuses its row buffer: staged text that viewed that buffer would come
+// out as a later row's bytes.
+TEST_F(SanitizeTest, CleanExportKeepsTheStrictLoadsTicketText) {
+  auto config = fa::sim::SimulationConfig::paper_defaults().scaled(0.02);
+  save_database(fa::sim::simulate(config), dir());
+  const TraceDatabase strict = load_database(dir());
+  const auto result = sanitize_database(dir());
+  ASSERT_EQ(result.db.tickets().size(), strict.tickets().size());
+  for (std::size_t i = 0; i < strict.tickets().size(); ++i) {
+    ASSERT_EQ(result.db.tickets()[i].description,
+              strict.tickets()[i].description)
+        << "ticket " << i;
+    ASSERT_EQ(result.db.tickets()[i].resolution,
+              strict.tickets()[i].resolution)
+        << "ticket " << i;
+  }
+}
+
 TEST_F(SanitizeTest, DuplicateServerIdKeepsFirstOccurrence) {
   write(kServersFile,
         "0,PM,0,4,8.000,,,,0\n"

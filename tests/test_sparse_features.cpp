@@ -177,7 +177,7 @@ TEST(SparseKMeans, CrashExtractionConfigurationMatchesDense) {
   const auto& db = fa::testing::small_simulated_db();
   std::vector<std::string> corpus;
   corpus.reserve(db.tickets().size());
-  for (const auto& t : db.tickets()) corpus.push_back(t.description);
+  for (const auto& t : db.tickets()) corpus.emplace_back(t.description);
   text::VectorizerOptions vec_options;
   vec_options.min_document_frequency = 3;
   const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
@@ -249,7 +249,8 @@ TEST(SparseKMeans, ClassifierCorpusResultPinned) {
   const auto& db = fa::testing::small_simulated_db();
   std::vector<std::string> corpus;
   for (const trace::Ticket* t : analysis::extract_crash_tickets(db)) {
-    corpus.push_back(t->description + " " + t->resolution);
+    corpus.push_back(std::string(t->description) + " " +
+                     std::string(t->resolution));
   }
   text::VectorizerOptions vec_options;
   vec_options.min_document_frequency = 2;

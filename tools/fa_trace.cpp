@@ -21,7 +21,8 @@
 //       aborting the load, and the sanitization report is printed first.
 //       On a columnar file --lenient is storage-level instead: chunks that
 //       fail their checksum are skipped, the degraded-read report is
-//       printed, and the analysis is marked as covering partial data.
+//       printed, and the analysis is marked as covering partial data (or
+//       skipped, exit 0, when no crash ticket survived the read).
 //       Without DIR, the report runs on a default simulated trace
 //       (paper defaults scaled by --scale, default 0.1) — no files needed.
 //
@@ -395,6 +396,12 @@ int cmd_report(const std::string& dir, bool lenient, double scale) {
     trace::DegradedReadReport degraded;
     trace::TraceDatabase db = trace::load_columnar(dir, true, &degraded);
     std::cout << degraded.to_string();
+    if (degraded.degraded() && analysis::extract_crash_tickets(db).empty()) {
+      // Say what the read kept; there is nothing left to analyze.
+      std::cout << "no crash tickets survived the degraded read; nothing to "
+                   "analyze\n";
+      return 0;
+    }
     if (degraded.degraded()) {
       std::cout << "warning: analysis below covers PARTIAL DATA; recover "
                    "the file with `fa_trace recover`\n";
