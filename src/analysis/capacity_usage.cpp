@@ -1,11 +1,86 @@
 #include "src/analysis/capacity_usage.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
 
-#include "src/util/error.h"
+#include "src/obs/metrics.h"
+#include "src/obs/span.h"
 
 namespace fa::analysis {
+namespace {
+
+// The failures of one call grouped by server with a counting sort over the
+// dense server ids: server s's failures are the weeks
+// [offsets_[s], offsets_[s + 1]) of weeks_, in no particular order (the
+// counts they feed are integers). Tickets on servers the database does not
+// hold, or opened outside the observation window, are dropped.
+class FailureWeeks {
+ public:
+  FailureWeeks(const trace::TraceDatabase& db,
+               std::span<const trace::Ticket* const> failures)
+      : offsets_(db.servers().size() + 1, 0) {
+    const std::size_t servers = db.servers().size();
+    const ObservationWindow& window = db.window();
+    const auto kept = [&](const trace::Ticket& t) {
+      return t.server.valid() &&
+             static_cast<std::size_t>(t.server.value) < servers &&
+             window.contains(t.opened);
+    };
+    // Count into offsets_[s] and sum to each server's end; placing each
+    // week at --offsets_[s] then leaves offsets_[s] at the server's first.
+    for (const trace::Ticket* t : failures) {
+      if (kept(*t)) ++offsets_[static_cast<std::size_t>(t->server.value)];
+    }
+    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+    weeks_.resize(offsets_.back());
+    for (const trace::Ticket* t : failures) {
+      if (!kept(*t)) continue;
+      weeks_[--offsets_[static_cast<std::size_t>(t->server.value)]] =
+          window.week_index(t->opened);
+    }
+  }
+
+  std::span<const int> of(trace::ServerId id) const {
+    const auto s = static_cast<std::size_t>(id.value);
+    return {weeks_.data() + offsets_[s], offsets_[s + 1] - offsets_[s]};
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;
+  std::vector<int> weeks_;
+};
+
+// Integer counts per bin and per (bin, week), the latter flat at
+// cell(bin, week).
+struct BinCounts {
+  BinCounts(std::size_t bins, int weeks)
+      : weeks(static_cast<std::size_t>(weeks)),
+        population(bins, 0),
+        failure_count(bins, 0),
+        weekly_population(bins * this->weeks, 0),
+        weekly_failures(bins * this->weeks, 0) {}
+
+  std::size_t cell(std::size_t bin, std::size_t week) const {
+    return bin * weeks + week;
+  }
+  void add_failure(std::size_t bin, int week) {
+    ++weekly_failures[cell(bin, static_cast<std::size_t>(week))];
+    ++failure_count[bin];
+  }
+
+  std::size_t weeks;
+  std::vector<std::size_t> population;
+  std::vector<std::size_t> failure_count;
+  std::vector<std::size_t> weekly_population;
+  std::vector<std::size_t> weekly_failures;
+};
+
+obs::Counter& binned_rows() {
+  static obs::Counter& c = obs::counter("fa.analysis.binned_rows");
+  return c;
+}
+
+}  // namespace
 
 double BinnedRates::max_min_rate_factor() const {
   double lo = 0.0, hi = 0.0;
@@ -21,47 +96,43 @@ BinnedRates capacity_binned_rates(
     const trace::TraceDatabase& db,
     std::span<const trace::Ticket* const> failures, const Scope& scope,
     const CapacityAttribute& attribute, stats::BinSpec spec) {
+  obs::Span span("analysis.capacity_binned_rates");
   const std::size_t bins = spec.bin_count();
   const int weeks = db.window().week_count();
+  const FailureWeeks failure_weeks(db, failures);
 
-  // Bin assignment per server.
-  std::unordered_map<trace::ServerId, std::size_t> server_bin;
-  std::vector<std::size_t> population(bins, 0);
+  // Each in-scope server with the attribute lands in one bin, its
+  // failures with it.
+  BinCounts counts(bins, weeks);
+  std::uint64_t rows = 0;
   for (const trace::ServerRecord& s : db.servers()) {
     if (!scope.matches(s)) continue;
-    const auto value = attribute(s);
+    ++rows;
+    auto value = attribute(s);
     if (!value) continue;
-    const auto bin = spec.index_of(*value);
+    auto bin = spec.index_of(*value);
     if (!bin) continue;
-    server_bin.emplace(s.id, *bin);
-    ++population[*bin];
+    ++counts.population[*bin];
+    for (int w : failure_weeks.of(s.id)) counts.add_failure(*bin, w);
   }
+  binned_rows().add(rows);
 
-  // Failures per (bin, week).
-  std::vector<std::vector<double>> weekly_failures(
-      bins, std::vector<double>(static_cast<std::size_t>(weeks), 0.0));
-  std::vector<std::size_t> failure_count(bins, 0);
-  for (const trace::Ticket* t : failures) {
-    const auto it = server_bin.find(t->server);
-    if (it == server_bin.end()) continue;
-    const int w = db.window().week_index(t->opened);
-    if (w < 0) continue;
-    weekly_failures[it->second][static_cast<std::size_t>(w)] += 1.0;
-    ++failure_count[it->second];
-  }
-
-  BinnedRates result{std::move(spec), std::move(population),
-                     std::move(failure_count), {}, {}};
+  BinnedRates result{std::move(spec), std::move(counts.population),
+                     std::move(counts.failure_count), {}, {}};
   result.overall_rate.resize(bins, 0.0);
   result.weekly_summary.resize(bins);
+  std::vector<double> series(static_cast<std::size_t>(weeks));
   for (std::size_t b = 0; b < bins; ++b) {
     if (result.population[b] == 0) continue;
-    auto& series = weekly_failures[b];
-    for (double& v : series) v /= static_cast<double>(result.population[b]);
+    const auto population = static_cast<double>(result.population[b]);
+    for (std::size_t w = 0; w < series.size(); ++w) {
+      series[w] =
+          static_cast<double>(counts.weekly_failures[counts.cell(b, w)]) /
+          population;
+    }
     result.weekly_summary[b] = stats::summarize(series);
     result.overall_rate[b] =
-        static_cast<double>(result.failure_count[b]) /
-        (static_cast<double>(result.population[b]) * weeks);
+        static_cast<double>(result.failure_count[b]) / (population * weeks);
   }
   return result;
 }
@@ -71,59 +142,61 @@ BinnedRates usage_binned_rates(const trace::TraceDatabase& db,
                                const Scope& scope,
                                const UsageAttribute& attribute,
                                stats::BinSpec spec) {
+  obs::Span span("analysis.usage_binned_rates");
   const std::size_t bins = spec.bin_count();
   const int weeks = db.window().week_count();
+  const FailureWeeks failure_weeks(db, failures);
 
-  // Bin of each (server, week) from the monitoring rows.
-  std::unordered_map<trace::ServerId, std::vector<int>> week_bin;
-  std::vector<std::vector<double>> weekly_population(
-      bins, std::vector<double>(static_cast<std::size_t>(weeks), 0.0));
-  std::vector<std::size_t> population(bins, 0);  // server-weeks
+  // Each in-scope server-week lands in the bin of its usage row; the
+  // server's failures then land in the bin of their week. `slots` holds
+  // one server's week -> bin (-1 for none) and is reused from server to
+  // server.
+  BinCounts counts(bins, weeks);
+  std::vector<int> slots(static_cast<std::size_t>(weeks));
+  std::uint64_t rows = 0;
   for (const trace::ServerRecord& s : db.servers()) {
     if (!scope.matches(s)) continue;
-    auto& slots = week_bin[s.id];
-    slots.assign(static_cast<std::size_t>(weeks), -1);
-    for (const trace::WeeklyUsage& u : db.weekly_usage_for(s.id)) {
+    std::fill(slots.begin(), slots.end(), -1);
+    const auto usage = db.weekly_usage_for(s.id);
+    rows += usage.size();
+    for (const trace::WeeklyUsage& u : usage) {
       if (u.week < 0 || u.week >= weeks) continue;
-      const auto value = attribute(u);
+      // Not const: GCC 12 then spills the optional as two 8-byte stores
+      // and reloads it as one 16-byte load that store forwarding cannot
+      // serve, which triples the cost of this loop.
+      auto value = attribute(u);
       if (!value) continue;
-      const auto bin = spec.index_of(*value);
+      auto bin = spec.index_of(*value);
       if (!bin) continue;
-      slots[static_cast<std::size_t>(u.week)] = static_cast<int>(*bin);
-      weekly_population[*bin][static_cast<std::size_t>(u.week)] += 1.0;
-      ++population[*bin];
+      const auto w = static_cast<std::size_t>(u.week);
+      slots[w] = static_cast<int>(*bin);
+      ++counts.weekly_population[counts.cell(*bin, w)];
+      ++counts.population[*bin];
+    }
+    for (int w : failure_weeks.of(s.id)) {
+      const int bin = slots[static_cast<std::size_t>(w)];
+      if (bin >= 0) counts.add_failure(static_cast<std::size_t>(bin), w);
     }
   }
+  binned_rows().add(rows);
 
-  std::vector<std::vector<double>> weekly_failures(
-      bins, std::vector<double>(static_cast<std::size_t>(weeks), 0.0));
-  std::vector<std::size_t> failure_count(bins, 0);
-  for (const trace::Ticket* t : failures) {
-    const auto it = week_bin.find(t->server);
-    if (it == week_bin.end()) continue;
-    const int w = db.window().week_index(t->opened);
-    if (w < 0) continue;
-    const int bin = it->second[static_cast<std::size_t>(w)];
-    if (bin < 0) continue;
-    weekly_failures[static_cast<std::size_t>(bin)]
-                   [static_cast<std::size_t>(w)] += 1.0;
-    ++failure_count[static_cast<std::size_t>(bin)];
-  }
-
-  BinnedRates result{std::move(spec), std::move(population),
-                     std::move(failure_count), {}, {}};
+  BinnedRates result{std::move(spec), std::move(counts.population),
+                     std::move(counts.failure_count), {}, {}};
   result.overall_rate.resize(bins, 0.0);
   result.weekly_summary.resize(bins);
+  std::vector<double> rates;
   for (std::size_t b = 0; b < bins; ++b) {
     if (result.population[b] == 0) continue;
-    // Weekly rate series over weeks with population in this bin.
-    std::vector<double> rates;
-    for (int w = 0; w < weeks; ++w) {
-      const double pop = weekly_population[b][static_cast<std::size_t>(w)];
-      if (pop <= 0.0) continue;
-      rates.push_back(weekly_failures[b][static_cast<std::size_t>(w)] / pop);
+    // Weekly rate series over weeks with population in this bin, of which
+    // there is at least one: population[b] sums them.
+    rates.clear();
+    for (std::size_t w = 0; w < counts.weeks; ++w) {
+      const std::size_t cell = counts.cell(b, w);
+      if (counts.weekly_population[cell] == 0) continue;
+      rates.push_back(static_cast<double>(counts.weekly_failures[cell]) /
+                      static_cast<double>(counts.weekly_population[cell]));
     }
-    if (!rates.empty()) result.weekly_summary[b] = stats::summarize(rates);
+    result.weekly_summary[b] = stats::summarize(rates);
     result.overall_rate[b] = static_cast<double>(result.failure_count[b]) /
                              static_cast<double>(result.population[b]);
   }

@@ -1,6 +1,5 @@
 #include "src/stats/histogram.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/util/error.h"
@@ -43,12 +42,6 @@ BinSpec BinSpec::power_of_two(double lo, int count) {
   return BinSpec(std::move(edges));
 }
 
-std::optional<std::size_t> BinSpec::index_of(double x) const {
-  if (x < edges_.front() || x >= edges_.back()) return std::nullopt;
-  const auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
-  return static_cast<std::size_t>(it - edges_.begin()) - 1;
-}
-
 double BinSpec::center(std::size_t bin) const {
   require(bin < bin_count(), "BinSpec::center: bin out of range");
   return 0.5 * (edges_[bin] + edges_[bin + 1]);
@@ -71,7 +64,7 @@ Histogram::Histogram(BinSpec spec)
     : spec_(std::move(spec)), counts_(spec_.bin_count(), 0) {}
 
 bool Histogram::add(double x) {
-  const auto bin = spec_.index_of(x);
+  auto bin = spec_.index_of(x);
   if (!bin) {
     ++out_of_range_;
     return false;

@@ -23,8 +23,24 @@ class BinSpec {
   // Power-of-two bins [lo, 2*lo), [2*lo, 4*lo), ... with count bins.
   static BinSpec power_of_two(double lo, int count);
 
-  // Index of the bin containing x, or nullopt when x is out of range.
-  std::optional<std::size_t> index_of(double x) const;
+  // Index of the bin containing x, or nullopt when x is out of range or
+  // NaN. Inline and branch-free in x, as the binned analyses call it once
+  // per usage row: the search runs log2(bin_count()) steps whatever x is,
+  // each a select, so random values cost no mispredictions.
+  std::optional<std::size_t> index_of(double x) const {
+    // Written so that NaN, which fails every comparison, is out of range.
+    if (!(x >= edges_.front() && x < edges_.back())) return std::nullopt;
+    // The last lower edge <= x lies in [first, first + n); edges_.front()
+    // <= x holds from the range test.
+    const double* first = edges_.data();
+    std::size_t n = bin_count();
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      first = first[half] <= x ? first + half : first;
+      n -= half;
+    }
+    return static_cast<std::size_t>(first - edges_.data());
+  }
   std::size_t bin_count() const { return edges_.size() - 1; }
   double lower_edge(std::size_t bin) const { return edges_[bin]; }
   double upper_edge(std::size_t bin) const { return edges_[bin + 1]; }

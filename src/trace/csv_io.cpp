@@ -66,6 +66,21 @@ Subsystem parse_subsystem(const std::string& field, const std::string& path) {
   return static_cast<Subsystem>(v);
 }
 
+// Any ticket's server, crash or not, must name a loaded server: an empty
+// field means "no server", anything outside [0, servers) fails the load at
+// its 1-based record.
+ServerId parse_server(const std::string& field, std::size_t servers,
+                      const std::string& path, std::size_t record) {
+  const std::int64_t v = parse_int(field);
+  if (v < 0 || static_cast<std::uint64_t>(v) >= servers) {
+    throw Error("load_database: " + path + " record " +
+                std::to_string(record) + " names server " + field +
+                ", outside the servers table (" + std::to_string(servers) +
+                " rows)");
+  }
+  return ServerId{static_cast<std::int32_t>(v)};
+}
+
 }  // namespace
 
 const std::vector<std::string>& meta_header() {
@@ -289,7 +304,7 @@ TraceDatabase load_database(const std::string& directory) {
     auto in = open_in(path);
     CsvReader r(in);
     expect_header(r, tickets_header(), path);
-    while (r.read_row(row)) {
+    for (std::size_t record = 1; r.read_row(row); ++record) {
       check_field_count(row, 10, path);
       Ticket t;
       if (!row[1].empty()) {
@@ -297,7 +312,7 @@ TraceDatabase load_database(const std::string& directory) {
         max_incident = std::max(max_incident, t.incident.value);
       }
       if (!row[2].empty()) {
-        t.server = ServerId{static_cast<std::int32_t>(parse_int(row[2]))};
+        t.server = parse_server(row[2], db.servers().size(), path, record);
       }
       t.subsystem = parse_subsystem(row[3], path);
       t.is_crash = parse_int(row[4]) != 0;

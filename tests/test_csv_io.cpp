@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/simulator.h"
+#include "src/trace/columnar_io.h"
 #include "src/util/error.h"
+#include "src/util/strings.h"
 #include "tests/test_support.h"
 
 namespace fa::trace {
@@ -104,6 +106,70 @@ TEST_F(CsvIoTest, CustomWindowsRoundTrip) {
   EXPECT_EQ(loaded.window().end, ticket.end);
   EXPECT_EQ(loaded.monitoring().end, monitoring.end);
   EXPECT_EQ(loaded.onoff_tracking().begin, onoff.begin);
+}
+
+// Every ticket's server, crash or not, must name a loaded server: strict
+// .fac loads refuse such rows, so an export that loaded with one would
+// convert to a .fac that does not load back. An empty field means "no
+// server".
+TEST_F(CsvIoTest, TicketNamingAMissingServerIsRejected) {
+  TraceDatabase db;
+  db.add_server(ServerRecord{});
+  Ticket on_server;
+  on_server.server = ServerId{0};
+  on_server.opened = ticket_window().begin;
+  on_server.closed = on_server.opened + kMinutesPerHour;
+  on_server.description = "cpu utilization warning";
+  on_server.resolution = "closed";
+  db.add_ticket(on_server);
+  Ticket serverless = on_server;
+  serverless.server = ServerId{};
+  db.add_ticket(serverless);
+  db.finalize();
+  save_database(db, dir());
+
+  // The clean export converts to .fac and back, as `fa_trace convert` does.
+  const std::string fac = dir() + "/trace.fac";
+  save_columnar(load_database(dir()), fac);
+  const TraceDatabase back = load_columnar(fac);
+  ASSERT_EQ(back.tickets().size(), 2u);
+  EXPECT_EQ(back.tickets()[0].server, ServerId{0});
+  EXPECT_FALSE(back.tickets()[1].server.valid());
+
+  // Point one background ticket at a server the export does not hold.
+  const auto write_tickets = [&](const std::string& first,
+                                 const std::string& second) {
+    std::ofstream out(dir() + "/" + kTicketsFile);
+    out << join(tickets_header(), ",") << "\n"
+        << "0,," << first << ",0,0,other,1000,2000,desc,res\n"
+        << "1,," << second << ",0,0,other,1000,2000,desc,res\n";
+  };
+  const auto load_error = [&]() -> std::string {
+    try {
+      load_database(dir());
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "loaded";
+  };
+  write_tickets("99", "");
+  std::string what = load_error();
+  EXPECT_NE(what.find("tickets.csv record 1 names server 99"),
+            std::string::npos)
+      << what;
+  write_tickets("0", "-1");
+  what = load_error();
+  EXPECT_NE(what.find("tickets.csv record 2 names server -1"),
+            std::string::npos)
+      << what;
+  write_tickets("0", "1");
+  what = load_error();
+  EXPECT_NE(what.find("record 2 names server 1, outside the servers table "
+                      "(1 rows)"),
+            std::string::npos)
+      << what;
+  write_tickets("0", "");
+  EXPECT_EQ(load_error(), "loaded");
 }
 
 TEST_F(CsvIoTest, MissingMetaFallsBackToPaperWindows) {

@@ -1,5 +1,7 @@
 #include "src/stats/histogram.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "src/util/error.h"
@@ -16,6 +18,27 @@ TEST(BinSpec, FromEdgesIndexing) {
   EXPECT_EQ(spec.index_of(9.999), 2u);
   EXPECT_FALSE(spec.index_of(10.0).has_value());
   EXPECT_FALSE(spec.index_of(-0.1).has_value());
+}
+
+TEST(BinSpec, NanIsOutOfRange) {
+  const auto spec = BinSpec::linear(0.0, 60.0, 6);
+  EXPECT_FALSE(spec.index_of(std::nan("")).has_value());
+  EXPECT_FALSE(spec.index_of(-std::nan("")).has_value());
+  Histogram h(spec);
+  EXPECT_FALSE(h.add(std::nan("")));
+  EXPECT_EQ(h.out_of_range(), 1u);
+  EXPECT_EQ(h.total(), 0u);
+}
+
+TEST(BinSpec, ManyBinsIndexEveryEdgeAndInterior) {
+  // The lookup has no size limit: 40 bins, every edge and midpoint.
+  const auto spec = BinSpec::linear(0.0, 40.0, 40);
+  for (std::size_t b = 0; b < spec.bin_count(); ++b) {
+    EXPECT_EQ(spec.index_of(spec.lower_edge(b)), b);
+    EXPECT_EQ(spec.index_of(spec.center(b)), b);
+  }
+  EXPECT_FALSE(spec.index_of(40.0).has_value());
+  EXPECT_FALSE(spec.index_of(-1e-300).has_value());
 }
 
 TEST(BinSpec, RejectsMalformedEdges) {
