@@ -886,9 +886,8 @@ TraceDatabase load_columnar(const std::string& path, bool use_mmap,
 
   // The incident counter covers every loaded ticket's incident even where
   // the footer's counter falls short of it.
-  const std::int32_t next_incident =
-      std::max(reader.next_incident(), max_incident + 1);
-  for (std::int32_t i = 0; i < next_incident; ++i) db.new_incident();
+  db.raise_incident_counter(std::max<std::int64_t>(
+      reader.next_incident(), std::int64_t{max_incident} + 1));
   db.finalize();
   return db;
 }

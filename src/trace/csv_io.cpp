@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "src/obs/span.h"
 #include "src/util/csv.h"
@@ -27,16 +28,6 @@ std::string opt_to_field(const std::optional<int>& v) {
   return v ? std::to_string(*v) : "";
 }
 
-std::optional<double> field_to_opt_double(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  return parse_finite_double(s);
-}
-
-std::optional<int> field_to_opt_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  return static_cast<int>(parse_int(s));
-}
-
 std::ofstream open_out(const std::string& path) {
   std::ofstream out(path);
   require(out.good(), "save_database: cannot open " + path);
@@ -49,36 +40,86 @@ std::ifstream open_in(const std::string& path) {
   return in;
 }
 
-// Runs once per CSV row, so the message is built only when the check fails.
-void check_field_count(const std::vector<std::string>& row,
-                       std::size_t fields, const std::string& path) {
-  if (row.size() != fields) throw Error("load_database: bad row in " + path);
-}
+// One record of a strict load. Its readers throw naming the column and
+// the value; for_each_record adds the file and the 1-based record.
+struct Fields {
+  const std::vector<std::string>& row;
+  const std::vector<std::string>& header;
 
-// Subsystem values index per-subsystem tables downstream, so one outside
-// [0, kSubsystemCount) is rejected here rather than cast to a Subsystem.
-Subsystem parse_subsystem(const std::string& field, const std::string& path) {
-  const std::int64_t v = parse_int(field);
-  if (v < 0 || v >= kSubsystemCount) {
-    throw Error("load_database: invalid subsystem '" + field + "' in " +
-                path);
+  [[noreturn]] void fail(std::size_t i, const std::string& what) const {
+    throw Error("column " + header[i] + " '" + row[i] + "' " + what);
   }
-  return static_cast<Subsystem>(v);
-}
+  bool empty(std::size_t i) const { return row[i].empty(); }
+  // An integer within [lo, hi], the width of the field it fills.
+  template <typename T = std::int64_t>
+  T integer(std::size_t i, std::int64_t lo = std::numeric_limits<T>::min(),
+            std::int64_t hi = std::numeric_limits<T>::max()) const {
+    std::int64_t v = 0;
+    try {
+      v = parse_int(row[i]);
+    } catch (const Error&) {
+      fail(i, "is not an integer");
+    }
+    if (v < lo || v > hi) {
+      fail(i, "is outside [" + std::to_string(lo) + ", " +
+                  std::to_string(hi) + "]");
+    }
+    return static_cast<T>(v);
+  }
+  double number(std::size_t i) const {
+    try {
+      return parse_finite_double(row[i]);
+    } catch (const Error&) {
+      fail(i, "is not a finite number");
+    }
+  }
+  // An enum symbol, read by `parse` (which throws on an unknown one).
+  template <typename Parse>
+  auto symbol(std::size_t i, Parse parse) const {
+    try {
+      return parse(row[i]);
+    } catch (const Error&) {
+      fail(i, "is not a known value");
+    }
+  }
+  std::optional<double> opt_number(std::size_t i) const {
+    if (empty(i)) return std::nullopt;
+    return number(i);
+  }
+  // A server reference: any ticket's server, crash or not, and every
+  // monitoring row's must name a loaded server.
+  ServerId server(std::size_t i, std::size_t servers) const {
+    const auto v = integer(i);
+    if (v < 0 || static_cast<std::uint64_t>(v) >= servers) {
+      throw Error("names server " + row[i] +
+                  ", outside the servers table (" + std::to_string(servers) +
+                  " rows)");
+    }
+    return ServerId{static_cast<std::int32_t>(v)};
+  }
+};
 
-// Any ticket's server, crash or not, must name a loaded server: an empty
-// field means "no server", anything outside [0, servers) fails the load at
-// its 1-based record.
-ServerId parse_server(const std::string& field, std::size_t servers,
-                      const std::string& path, std::size_t record) {
-  const std::int64_t v = parse_int(field);
-  if (v < 0 || static_cast<std::uint64_t>(v) >= servers) {
-    throw Error("load_database: " + path + " record " +
-                std::to_string(record) + " names server " + field +
-                ", outside the servers table (" + std::to_string(servers) +
-                " rows)");
+// Reads every record of `path` through `decode(fields)`; any error
+// is rethrown naming the file and the 1-based record.
+template <typename Decode>
+void for_each_record(const std::string& path,
+                     const std::vector<std::string>& header, Decode decode) {
+  auto in = open_in(path);
+  CsvReader r(in);
+  expect_header(r, header, path);
+  std::vector<std::string> row;
+  for (std::size_t record = 1; r.read_row(row); ++record) {
+    try {
+      if (row.size() != header.size()) {
+        throw Error("has " + std::to_string(row.size()) +
+                    " fields, expected " + std::to_string(header.size()));
+      }
+      decode(Fields{row, header});
+    } catch (const Error& e) {
+      throw Error("load_database: " + path + " record " +
+                  std::to_string(record) + " " + e.what());
+    }
   }
-  return ServerId{static_cast<std::int32_t>(v)};
 }
 
 }  // namespace
@@ -245,139 +286,117 @@ void save_database(const TraceDatabase& db, const std::string& directory) {
 TraceDatabase load_database(const std::string& directory) {
   obs::Span span("trace.load_database");
   TraceDatabase db;
-  std::vector<std::string> row;
-  std::int32_t max_incident = -1;
+  std::int64_t max_incident = -1;
 
   // meta.csv is optional for backward/hand-authored traces: absent, the
   // paper's default windows apply.
   if (std::filesystem::exists(directory + "/" + kMetaFile)) {
-    const std::string path = directory + "/" + kMetaFile;
-    auto in = open_in(path);
-    CsvReader r(in);
-    expect_header(r, meta_header(), path);
     ObservationWindow ticket = db.window();
     ObservationWindow monitoring = db.monitoring();
     ObservationWindow onoff = db.onoff_tracking();
-    while (r.read_row(row)) {
-      check_field_count(row, 3, path);
-      const ObservationWindow window{parse_int(row[1]), parse_int(row[2])};
-      if (row[0] == "ticket") {
-        ticket = window;
-      } else if (row[0] == "monitoring") {
-        monitoring = window;
-      } else if (row[0] == "onoff") {
-        onoff = window;
-      } else {
-        throw Error("load_database: unknown window '" + row[0] + "' in " +
-                    path);
-      }
-    }
+    for_each_record(
+        directory + "/" + kMetaFile, meta_header(),
+        [&](const Fields& f) {
+          const ObservationWindow window{f.integer(1), f.integer(2)};
+          if (f.row[0] == "ticket") {
+            ticket = window;
+          } else if (f.row[0] == "monitoring") {
+            monitoring = window;
+          } else if (f.row[0] == "onoff") {
+            onoff = window;
+          } else {
+            f.fail(0, "is not a known window");
+          }
+        });
     db.set_windows(ticket, monitoring, onoff);
   }
 
-  {
-    const std::string path = directory + "/" + kServersFile;
-    auto in = open_in(path);
-    CsvReader r(in);
-    expect_header(r, servers_header(), path);
-    while (r.read_row(row)) {
-      check_field_count(row, 9, path);
-      ServerRecord s;
-      s.type = machine_type_from_string(row[1]);
-      s.subsystem = parse_subsystem(row[2], path);
-      s.cpu_count = static_cast<int>(parse_int(row[3]));
-      s.memory_gb = parse_finite_double(row[4]);
-      s.disk_gb = field_to_opt_double(row[5]);
-      s.disk_count = field_to_opt_int(row[6]);
-      if (!row[7].empty()) {
-        s.host_box = BoxId{static_cast<std::int32_t>(parse_int(row[7]))};
-      }
-      s.first_record = parse_int(row[8]);
-      const ServerId assigned = db.add_server(s);
-      if (assigned.value != static_cast<std::int32_t>(parse_int(row[0]))) {
-        throw Error("load_database: non-contiguous server ids in " + path);
-      }
-    }
-  }
-  {
-    const std::string path = directory + "/" + kTicketsFile;
-    auto in = open_in(path);
-    CsvReader r(in);
-    expect_header(r, tickets_header(), path);
-    for (std::size_t record = 1; r.read_row(row); ++record) {
-      check_field_count(row, 10, path);
-      Ticket t;
-      if (!row[1].empty()) {
-        t.incident = IncidentId{static_cast<std::int32_t>(parse_int(row[1]))};
-        max_incident = std::max(max_incident, t.incident.value);
-      }
-      if (!row[2].empty()) {
-        t.server = parse_server(row[2], db.servers().size(), path, record);
-      }
-      t.subsystem = parse_subsystem(row[3], path);
-      t.is_crash = parse_int(row[4]) != 0;
-      t.true_class = failure_class_from_string(row[5]);
-      t.opened = parse_int(row[6]);
-      t.closed = parse_int(row[7]);
-      t.description = row[8];  // add_ticket copies the text in
-      t.resolution = row[9];
-      const TicketId assigned = db.add_ticket(t);
-      if (assigned.value != static_cast<std::int32_t>(parse_int(row[0]))) {
-        throw Error("load_database: non-contiguous ticket ids in " + path);
-      }
-    }
-  }
-  {
-    const std::string path = directory + "/" + kWeeklyUsageFile;
-    auto in = open_in(path);
-    CsvReader r(in);
-    expect_header(r, weekly_usage_header(), path);
-    while (r.read_row(row)) {
-      check_field_count(row, 6, path);
-      WeeklyUsage u;
-      u.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
-      u.week = static_cast<int>(parse_int(row[1]));
-      u.cpu_util = parse_finite_double(row[2]);
-      u.mem_util = parse_finite_double(row[3]);
-      u.disk_util = field_to_opt_double(row[4]);
-      u.net_kbps = field_to_opt_double(row[5]);
-      db.add_weekly_usage(u);
-    }
-  }
-  {
-    const std::string path = directory + "/" + kPowerEventsFile;
-    auto in = open_in(path);
-    CsvReader r(in);
-    expect_header(r, power_events_header(), path);
-    while (r.read_row(row)) {
-      check_field_count(row, 3, path);
-      PowerEvent e;
-      e.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
-      e.at = parse_int(row[1]);
-      e.powered_on = parse_int(row[2]) != 0;
-      db.add_power_event(e);
-    }
-  }
-  {
-    const std::string path = directory + "/" + kSnapshotsFile;
-    auto in = open_in(path);
-    CsvReader r(in);
-    expect_header(r, snapshots_header(), path);
-    while (r.read_row(row)) {
-      check_field_count(row, 4, path);
-      MonthlySnapshot s;
-      s.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
-      s.month = static_cast<int>(parse_int(row[1]));
-      if (!row[2].empty()) {
-        s.box = BoxId{static_cast<std::int32_t>(parse_int(row[2]))};
-      }
-      s.consolidation = static_cast<int>(parse_int(row[3]));
-      db.add_monthly_snapshot(s);
-    }
-  }
+  for_each_record(
+      directory + "/" + kServersFile, servers_header(),
+      [&](const Fields& f) {
+        ServerRecord s;
+        s.type = f.symbol(1, machine_type_from_string);
+        // Subsystem values index per-subsystem tables downstream.
+        s.subsystem = f.integer<Subsystem>(2, 0, kSubsystemCount - 1);
+        s.cpu_count = f.integer<int>(3);
+        s.memory_gb = f.number(4);
+        s.disk_gb = f.opt_number(5);
+        if (!f.empty(6)) s.disk_count = f.integer<int>(6);
+        if (!f.empty(7)) s.host_box = BoxId{f.integer<std::int32_t>(7)};
+        s.first_record = f.integer(8);
+        const auto position = static_cast<std::int64_t>(db.servers().size());
+        if (f.integer(0) != position) {
+          f.fail(0, "is out of sequence (expected " +
+                        std::to_string(position) + ")");
+        }
+        db.add_server(s);
+      });
+  for_each_record(
+      directory + "/" + kTicketsFile, tickets_header(),
+      [&](const Fields& f) {
+        Ticket t;
+        if (!f.empty(1)) {
+          // One past the highest incident restores the counter, so the
+          // largest id leaves room for it.
+          t.incident = IncidentId{f.integer<std::int32_t>(
+              1, 0, std::numeric_limits<std::int32_t>::max() - 1)};
+          max_incident = std::max<std::int64_t>(max_incident,
+                                                t.incident.value);
+        }
+        if (!f.empty(2)) t.server = f.server(2, db.servers().size());
+        t.subsystem = f.integer<Subsystem>(3, 0, kSubsystemCount - 1);
+        t.is_crash = f.integer(4) != 0;
+        t.true_class = f.symbol(5, failure_class_from_string);
+        t.opened = f.integer(6);
+        t.closed = f.integer(7);
+        if (t.closed < t.opened) f.fail(7, "precedes opened " + f.row[6]);
+        // A crash ticket needs a machine and an incident.
+        if (t.is_crash && !t.server.valid()) f.fail(2, "is empty on a crash");
+        if (t.is_crash && !t.incident.valid()) {
+          f.fail(1, "is empty on a crash");
+        }
+        t.description = f.row[8];  // add_ticket copies the text in
+        t.resolution = f.row[9];
+        const auto position = static_cast<std::int64_t>(db.tickets().size());
+        if (f.integer(0) != position) {
+          f.fail(0, "is out of sequence (expected " +
+                        std::to_string(position) + ")");
+        }
+        db.add_ticket(t);
+      });
+  for_each_record(
+      directory + "/" + kWeeklyUsageFile, weekly_usage_header(),
+      [&](const Fields& f) {
+        WeeklyUsage u;
+        u.server = f.server(0, db.servers().size());
+        u.week = f.integer<int>(1);
+        u.cpu_util = f.number(2);
+        u.mem_util = f.number(3);
+        u.disk_util = f.opt_number(4);
+        u.net_kbps = f.opt_number(5);
+        db.add_weekly_usage(u);
+      });
+  for_each_record(
+      directory + "/" + kPowerEventsFile, power_events_header(),
+      [&](const Fields& f) {
+        PowerEvent e;
+        e.server = f.server(0, db.servers().size());
+        e.at = f.integer(1);
+        e.powered_on = f.integer(2) != 0;
+        db.add_power_event(e);
+      });
+  for_each_record(
+      directory + "/" + kSnapshotsFile, snapshots_header(),
+      [&](const Fields& f) {
+        MonthlySnapshot s;
+        s.server = f.server(0, db.servers().size());
+        s.month = f.integer<int>(1);
+        if (!f.empty(2)) s.box = BoxId{f.integer<std::int32_t>(2)};
+        s.consolidation = f.integer<int>(3, 1);
+        db.add_monthly_snapshot(s);
+      });
 
-  // Restore the incident counter past the highest loaded id.
-  for (std::int32_t i = 0; i <= max_incident; ++i) db.new_incident();
+  db.raise_incident_counter(max_incident + 1);
   db.finalize();
   return db;
 }

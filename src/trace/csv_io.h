@@ -39,9 +39,11 @@ void expect_header(CsvReader& reader, const std::vector<std::string>& want,
 void save_database(const TraceDatabase& db, const std::string& directory);
 
 // Loads the files written by save_database and returns a finalized database.
-// Strict: the first malformed field, duplicate/non-contiguous id, dangling
-// reference or non-finite numeric throws fa::Error. See sanitize.h for the
-// lenient, repairing loader.
+// Strict: the first malformed field, integer outside its field's width,
+// duplicate/non-contiguous id, dangling reference or non-finite numeric
+// throws fa::Error naming the file, the 1-based record, the column and the
+// value. Observation windows and series length are not checked. See
+// sanitize.h for the lenient, repairing loader.
 TraceDatabase load_database(const std::string& directory);
 
 }  // namespace fa::trace

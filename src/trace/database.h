@@ -48,7 +48,12 @@ class TraceDatabase {
                std::size_t weekly_usage, std::size_t power_events,
                std::size_t snapshots);
   // Allocates a fresh incident id (tickets sharing one incident share it).
+  // Throws once every non-negative int32 id is taken.
   IncidentId new_incident();
+  // Raises the incident counter so new_incident() returns no id below
+  // `next` (clamped to the int32 range); never lowers it. Loaders call it
+  // with one past the highest incident id they loaded.
+  void raise_incident_counter(std::int64_t next);
 
   // Overrides the observation windows (defaults are the paper's 2012-2013
   // windows). Real trace exports carry their own spans; must be called

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -137,6 +138,24 @@ std::optional<FieldDefect> scan_opt_double(const std::string& name,
   if (auto defect = scan_double(name, value, &v)) return defect;
   *out = v;
   return std::nullopt;
+}
+
+// The largest incident id a load keeps: one past it must still fit the
+// int32 incident counter.
+constexpr std::int64_t kMaxIncident =
+    std::numeric_limits<std::int32_t>::max() - 1;
+
+// True when `v` fits the integer field type T it fills.
+template <typename T>
+bool fits(std::int64_t v) {
+  return v >= std::numeric_limits<T>::min() &&
+         v <= std::numeric_limits<T>::max();
+}
+
+std::optional<FieldDefect> out_of_range(const std::string& name,
+                                        const std::string& value) {
+  return FieldDefect{DefectClass::kUnparseableField,
+                     name + " '" + value + "' is out of range"};
 }
 
 TimePoint clamp_into(TimePoint t, const ObservationWindow& window) {
@@ -414,6 +433,11 @@ SanitizedDatabase sanitize_database(const std::string& directory) {
                    bad_int("cpu_count", row[3])->detail);
         continue;
       }
+      if (!fits<int>(*cpu)) {
+        quarantine(DefectClass::kUnparseableField,
+                   out_of_range("cpu_count", row[3])->detail);
+        continue;
+      }
       ServerRecord s;
       s.type = *type;
       s.subsystem = static_cast<Subsystem>(*subsystem);
@@ -427,18 +451,20 @@ SanitizedDatabase sanitize_database(const std::string& directory) {
       }
       if (!row[6].empty()) {
         const auto disks = try_int(row[6]);
-        if (!disks) {
+        if (!disks || !fits<int>(*disks)) {
           quarantine(DefectClass::kUnparseableField,
-                     bad_int("disk_count", row[6])->detail);
+                     (disks ? out_of_range("disk_count", row[6])
+                            : bad_int("disk_count", row[6]))->detail);
           continue;
         }
         s.disk_count = static_cast<int>(*disks);
       }
       if (!row[7].empty()) {
         const auto box = try_int(row[7]);
-        if (!box) {
+        if (!box || !fits<std::int32_t>(*box)) {
           quarantine(DefectClass::kUnparseableField,
-                     bad_int("host_box", row[7])->detail);
+                     (box ? out_of_range("host_box", row[7])
+                          : bad_int("host_box", row[7]))->detail);
           continue;
         }
         s.host_box = BoxId{static_cast<std::int32_t>(*box)};
@@ -535,11 +561,14 @@ SanitizedDatabase sanitize_database(const std::string& directory) {
 
     // Advance the incident counter past every id seen in the file so that
     // repairs allocating fresh incidents cannot collide with loaded ids.
+    // Incidents outside [0, kMaxIncident] are defects of their rows below.
     std::int64_t max_incident = -1;
     for (const StagedTicket& st : staged) {
-      if (st.incident) max_incident = std::max(max_incident, *st.incident);
+      if (st.incident && *st.incident >= 0 && *st.incident <= kMaxIncident) {
+        max_incident = std::max(max_incident, *st.incident);
+      }
     }
-    for (std::int64_t i = 0; i <= max_incident; ++i) db.new_incident();
+    db.raise_incident_counter(max_incident + 1);
 
     std::unordered_set<std::int64_t> seen;
     for (StagedTicket& st : staged) {
@@ -577,6 +606,14 @@ SanitizedDatabase sanitize_database(const std::string& directory) {
                        DefectAction::kRepaired,
                        "crash ticket without server; orphan dropped");
         }
+        continue;
+      }
+      if (st.incident && (*st.incident < 0 || *st.incident > kMaxIncident)) {
+        audit.defect(st.row, DefectClass::kUnparseableField,
+                     DefectAction::kQuarantined,
+                     "incident " + std::to_string(*st.incident) +
+                         " outside [0, " + std::to_string(kMaxIncident) +
+                         "]");
         continue;
       }
       if (st.incident) {
@@ -764,6 +801,12 @@ SanitizedDatabase sanitize_database(const std::string& directory) {
                      DefectAction::kQuarantined,
                      "consolidation " + std::to_string(*consolidation) +
                          " below 1");
+        continue;
+      }
+      if (!fits<int>(*consolidation) || !fits<std::int32_t>(*box)) {
+        audit.defect(n, DefectClass::kUnparseableField,
+                     DefectAction::kQuarantined,
+                     "snapshot field out of range");
         continue;
       }
       if (*month < 0 || *month >= months) {

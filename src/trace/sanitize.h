@@ -23,7 +23,8 @@ namespace fa::trace {
 // injected defect counts can be compared 1:1 against sanitization reports.
 enum class DefectClass : std::uint8_t {
   // A field fails to parse or holds a value outside its column's domain
-  // (wrong column count, bad integer, consolidation < 1, ...).
+  // (wrong column count, bad integer, an integer wider than the field it
+  // fills, an incident outside [0, 2147483646], consolidation < 1, ...).
   kUnparseableField = 0,
   // A numeric field parses but is nan/inf.
   kNonFiniteNumeric = 1,

@@ -1,14 +1,21 @@
 #include "src/trace/csv_io.h"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "src/sim/simulator.h"
 #include "src/trace/columnar_io.h"
+#include "src/trace/sanitize.h"
 #include "src/util/error.h"
 #include "src/util/strings.h"
 #include "tests/test_support.h"
@@ -213,6 +220,240 @@ class CsvInjectionTest : public CsvIoTest {
     out << row << "\n";
   }
 };
+
+// Renders "class,action,detail" as defects_csv() writes it: the detail is
+// quoted when it holds a comma or a quote.
+std::string escape(const std::string& defect) {
+  const auto second = defect.find(',', defect.find(',') + 1);
+  std::ostringstream detail;
+  CsvWriter(detail).write_row({defect.substr(second + 1)});
+  std::string quoted = detail.str();
+  quoted.pop_back();  // the row's newline
+  return defect.substr(0, second + 1) + quoted;
+}
+
+// Hostile ids: one field of the clean export edited. Each of these loads
+// hung, aborted unlocated or loaded the wrong row before ids were checked
+// against the width of the field they fill.
+class HostileIdTest : public CsvInjectionTest {
+ protected:
+  // Sets `column` of the first record of `file` whose `match_column` holds
+  // `match` (any record when `match_column` is empty) to `value`, and
+  // returns that record's 1-based index.
+  std::size_t edit(const std::string& file, const std::string& column,
+                   const std::string& value,
+                   const std::string& match_column = "",
+                   const std::string& match = "") {
+    const std::string path = dir() + "/" + file;
+    std::vector<std::vector<std::string>> rows;
+    {
+      std::ifstream in(path);
+      CsvReader reader(in);
+      std::vector<std::string> row;
+      while (reader.read_row(row)) rows.push_back(row);
+    }
+    const auto index_of = [&](const std::string& name) {
+      const auto& header = rows.front();
+      return static_cast<std::size_t>(
+          std::find(header.begin(), header.end(), name) - header.begin());
+    };
+    std::size_t record = 0;
+    for (std::size_t r = 1; r < rows.size() && record == 0; ++r) {
+      if (match_column.empty() || rows[r][index_of(match_column)] == match) {
+        rows[r][index_of(column)] = value;
+        record = r;
+      }
+    }
+    std::ofstream out(path);
+    CsvWriter writer(out);
+    for (const auto& row : rows) writer.write_row(row);
+    return record;
+  }
+
+  // The strict load's error; "loaded" when it succeeds.
+  std::string strict_error() {
+    std::string what = "loaded";
+    within([&] {
+      try {
+        load_database(dir());
+      } catch (const Error& e) {
+        what = e.what();
+      }
+    });
+    return what;
+  }
+
+  // The lenient load's defects CSV.
+  std::string lenient_defects() {
+    std::string defects;
+    within([&] {
+      SanitizationReport report = sanitize_database(dir()).report;
+      defects = report.defects_csv();
+    });
+    return defects;
+  }
+
+ private:
+  // Runs `fn` on its own thread and ends the test binary when it is still
+  // running after 20 s, so a load that hangs fails instead of stalling.
+  template <typename Fn>
+  static void within(Fn fn) {
+    std::packaged_task<void()> task(fn);
+    auto done = task.get_future();
+    std::thread(std::move(task)).detach();
+    if (done.wait_for(std::chrono::seconds(20)) ==
+        std::future_status::timeout) {
+      ADD_FAILURE() << "load still running after 20 s";
+      std::_Exit(1);
+    }
+    done.get();
+  }
+};
+
+TEST_F(HostileIdTest, MaxInt32IncidentIsLocatedInsteadOfHanging) {
+  const std::size_t record =
+      edit(kTicketsFile, "incident", "2147483647", "is_crash", "1");
+  EXPECT_NE(strict_error().find("tickets.csv record " +
+                                std::to_string(record) +
+                                " column incident '2147483647'"),
+            std::string::npos)
+      << strict_error();
+  EXPECT_NE(lenient_defects().find(
+                "tickets.csv," + std::to_string(record) +
+                ",unparseable_field,quarantined,\"incident 2147483647 "
+                "outside [0, 2147483646]\""),
+            std::string::npos)
+      << lenient_defects();
+}
+
+TEST_F(HostileIdTest, Int64IncidentIsALenientDefectInsteadOfAHang) {
+  const std::size_t record = edit(kTicketsFile, "incident",
+                                  "9000000000000000000", "is_crash", "1");
+  EXPECT_NE(lenient_defects().find(
+                "tickets.csv," + std::to_string(record) +
+                ",unparseable_field,quarantined,\"incident "
+                "9000000000000000000 outside [0, 2147483646]\""),
+            std::string::npos)
+      << lenient_defects();
+  EXPECT_NE(strict_error().find("column incident '9000000000000000000'"),
+            std::string::npos)
+      << strict_error();
+}
+
+TEST_F(HostileIdTest, NegativeCrashIncidentIsALenientDefect) {
+  const std::size_t record =
+      edit(kTicketsFile, "incident", "-5", "is_crash", "1");
+  EXPECT_NE(lenient_defects().find(
+                "tickets.csv," + std::to_string(record) +
+                ",unparseable_field,quarantined,\"incident -5 outside "
+                "[0, 2147483646]\""),
+            std::string::npos)
+      << lenient_defects();
+  EXPECT_NE(strict_error().find("tickets.csv record " +
+                                std::to_string(record) +
+                                " column incident '-5'"),
+            std::string::npos)
+      << strict_error();
+}
+
+TEST_F(HostileIdTest, UsageServerPastInt32IsRefusedNotLoadedAsServer0) {
+  const std::size_t record =
+      edit(kWeeklyUsageFile, "server", "4294967296");
+  EXPECT_NE(strict_error().find("weekly_usage.csv record " +
+                                std::to_string(record) +
+                                " names server 4294967296"),
+            std::string::npos)
+      << strict_error();
+  EXPECT_NE(lenient_defects().find(
+                "weekly_usage.csv," + std::to_string(record) +
+                ",orphan_reference,repaired,references unknown server "
+                "4294967296; orphan dropped"),
+            std::string::npos)
+      << lenient_defects();
+}
+
+// One bad value in one column of the clean export, per row. A strict load
+// must fail naming the file, the record, the column and the value; a
+// lenient load must record the defect below (expected values taken from
+// the lenient loader before strict and lenient loads were unified).
+struct DecoderCase {
+  const char* file;
+  const char* column;
+  const char* value;
+  std::size_t defect_record;  // where the lenient load records the defect
+  const char* defect;         // class,action,detail as in defects_csv()
+};
+
+const DecoderCase kDecoderCases[] = {
+    {"meta.csv", "begin", "x", 1,
+     "unparseable_field,quarantined,window bounds 'x'/'1052640' are not "
+     "integers"},
+    {"meta.csv", "window", "solstice", 1,
+     "unknown_enum,quarantined,unknown window 'solstice'"},
+    {"servers.csv", "type", "mainframe", 1,
+     "unknown_enum,quarantined,unknown machine type 'mainframe'"},
+    {"servers.csv", "subsystem", "7", 1,
+     "unknown_enum,quarantined,subsystem '7' unknown"},
+    {"servers.csv", "memory_gb", "nan", 1,
+     "non_finite_numeric,quarantined,memory_gb is non-finite ('nan')"},
+    {"servers.csv", "host_box", "x", 1,
+     "unparseable_field,quarantined,host_box 'x' is not an integer"},
+    {"tickets.csv", "subsystem", "bo!gus", 1,
+     "unparseable_field,quarantined,numeric ticket field failed to parse"},
+    {"tickets.csv", "true_class", "gremlins", 1,
+     "unknown_enum,repaired,unknown failure class 'gremlins'; reassigned "
+     "to 'other'"},
+    {"tickets.csv", "closed", "0", 1,
+     "end_before_open,quarantined,closed 0 precedes opened 529104"},
+    {"tickets.csv", "server", "99999", 1,
+     "orphan_reference,repaired,references unknown server 99999; orphan "
+     "dropped"},
+    {"tickets.csv", "id", "7", 8,
+     "duplicate_id,repaired,duplicate ticket id 7; kept first occurrence"},
+    {"weekly_usage.csv", "cpu_util", "inf", 1,
+     "non_finite_numeric,quarantined,cpu_util is non-finite ('inf')"},
+    {"weekly_usage.csv", "week", "x", 1,
+     "unparseable_field,quarantined,server/week '0'/'x' failed to parse"},
+    {"weekly_usage.csv", "disk_util", "bogus", 1,
+     "unparseable_field,quarantined,disk_util 'bogus' is not a number"},
+    {"power_events.csv", "at", "x", 1,
+     "unparseable_field,quarantined,power event field failed to parse"},
+    {"power_events.csv", "server", "99999", 1,
+     "orphan_reference,repaired,references unknown server 99999; orphan "
+     "dropped"},
+    {"snapshots.csv", "consolidation", "0", 1,
+     "unparseable_field,quarantined,consolidation 0 below 1"},
+    {"snapshots.csv", "month", "x", 1,
+     "unparseable_field,quarantined,snapshot field failed to parse"},
+    {"snapshots.csv", "server", "-3", 1,
+     "orphan_reference,repaired,references unknown server -3; orphan "
+     "dropped"},
+};
+
+TEST_F(HostileIdTest, EveryDecoderLocatesItsDefectInBothModes) {
+  const std::string clean = dir() + "_clean";
+  std::filesystem::remove_all(clean);
+  std::filesystem::copy(dir(), clean);
+  for (const DecoderCase& c : kDecoderCases) {
+    std::filesystem::remove_all(dir());
+    std::filesystem::copy(clean, dir());
+    const std::size_t record = edit(c.file, c.column, c.value);
+    ASSERT_EQ(record, 1u) << c.file;
+    const std::string where = std::string(c.file) + " " + c.column;
+    const std::string what = strict_error();
+    EXPECT_NE(what.find(std::string(c.file) + " record 1 "),
+              std::string::npos)
+        << where << ": " << what;
+    EXPECT_NE(what.find(c.column), std::string::npos) << where << ": " << what;
+    EXPECT_NE(what.find(c.value), std::string::npos) << where << ": " << what;
+    const std::string defects = lenient_defects();
+    EXPECT_EQ(defects, "file,row,class,action,detail\n" + std::string(c.file) +
+                           "," + std::to_string(c.defect_record) + "," +
+                           escape(c.defect) + "\n")
+        << where;
+  }
+  std::filesystem::remove_all(clean);
+}
 
 TEST_F(CsvInjectionTest, DanglingTicketServerRejected) {
   inject("tickets.csv",

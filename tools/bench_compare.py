@@ -19,6 +19,10 @@ extracted BENCH_detect.json) against a baseline and fails on regressions:
   * events_per_sec  — must stay above baseline / 1.6 (same guards).
   * everything else — informational only (counts, speedups, arrays).
 
+A gated leaf (one of the rules above) that the baseline has and the
+current file lacks is a regression: a deleted block must not pass the gate
+by checking fewer rules.
+
 Guards: each JSON object level may carry "scale", "hardware_concurrency"
 and "single_core_warning"; nested values override inherited ones. When a
 guard differs between the two files, the rules that depend on it are
@@ -80,6 +84,15 @@ class Row:
 
 def guards_match(base_guards, cur_guards, keys):
     return all(base_guards.get(k) == cur_guards.get(k) for k in keys)
+
+
+def is_gated(path, value):
+    """True when a rule other than "informational" applies to the leaf."""
+    key = path.rsplit(".", 1)[-1]
+    return (isinstance(value, bool)
+            or key in ("precision", "recall", "median_latency_days",
+                       "events_per_sec")
+            or key.endswith("_ms"))
 
 
 def compare_leaf(path, base, cur, base_guards, cur_guards):
@@ -151,8 +164,13 @@ def compare(baseline, current, allow_incomparable):
         if path.rsplit(".", 1)[-1] in GUARD_KEYS:
             continue  # guards are context, not metrics
         if path not in cur_leaves:
-            rows.append(Row(path, base_leaves[path][0], None,
-                            "informational", INFO, "missing in current"))
+            base = base_leaves[path][0]
+            if is_gated(path, base):
+                rows.append(Row(path, base, None, "must be present",
+                                REGRESSION, "missing in current"))
+            else:
+                rows.append(Row(path, base, None, "informational", INFO,
+                                "missing in current"))
             continue
         if path not in base_leaves:
             rows.append(Row(path, None, cur_leaves[path][0],
