@@ -43,12 +43,9 @@ LenientAnalysisResult analyze_lenient(const std::string& directory,
                                       std::uint64_t seed,
                                       ClassifierOptions options) {
   LenientAnalysisResult result;
-  auto sanitized = trace::sanitize_database(directory);
-  result.tickets_dropped =
-      sanitized.report.rows_dropped(trace::kTicketsFile);
-  result.report = std::move(sanitized.report);
   result.db = std::make_shared<const trace::TraceDatabase>(
-      std::move(sanitized.db));
+      trace::load_database(directory, &result.report));
+  result.tickets_dropped = result.report.rows_dropped(trace::kTicketsFile);
   result.pipeline =
       std::make_shared<const AnalysisPipeline>(*result.db, seed, options);
   return result;

@@ -57,8 +57,8 @@ struct LenientAnalysisResult {
   std::size_t tickets_dropped = 0;
 };
 
-// Loads `directory` through trace::sanitize_database instead of the strict
-// loader, then runs the standard pipeline on the repaired database. Strict
+// Loads `directory` with a lenient trace::load_database instead of a strict
+// one, then runs the standard pipeline on the repaired database. Strict
 // loading stays the default everywhere else; call this for exports known
 // (or suspected) to be dirty.
 LenientAnalysisResult analyze_lenient(const std::string& directory,

@@ -1,11 +1,18 @@
 #include "src/trace/csv_io.h"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <type_traits>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "src/obs/metrics.h"
 #include "src/obs/span.h"
+#include "src/trace/sanitize.h"
 #include "src/util/csv.h"
 #include "src/util/error.h"
 #include "src/util/strings.h"
@@ -34,94 +41,567 @@ std::ofstream open_out(const std::string& path) {
   return out;
 }
 
-std::ifstream open_in(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_database: cannot open " + path);
-  return in;
+// `parse(field)`, or nullopt where it throws: one set of field parsers
+// (src/util/csv.h and the enum parsers of types.h) serves both load modes.
+template <typename Parse>
+auto attempt(Parse parse, const std::string& field)
+    -> std::optional<decltype(parse(field))> {
+  try {
+    return parse(field);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
 }
 
-// One record of a strict load. Its readers throw naming the column and
-// the value; for_each_record adds the file and the 1-based record.
-struct Fields {
-  const std::vector<std::string>& row;
-  const std::vector<std::string>& header;
+// True when `v` fits the integer field type T it fills.
+template <typename T>
+bool fits(std::int64_t v) {
+  return v >= std::numeric_limits<T>::min() &&
+         v <= std::numeric_limits<T>::max();
+}
 
-  [[noreturn]] void fail(std::size_t i, const std::string& what) const {
-    throw Error("column " + header[i] + " '" + row[i] + "' " + what);
-  }
-  bool empty(std::size_t i) const { return row[i].empty(); }
-  // An integer within [lo, hi], the width of the field it fills.
-  template <typename T = std::int64_t>
-  T integer(std::size_t i, std::int64_t lo = std::numeric_limits<T>::min(),
-            std::int64_t hi = std::numeric_limits<T>::max()) const {
-    std::int64_t v = 0;
-    try {
-      v = parse_int(row[i]);
-    } catch (const Error&) {
-      fail(i, "is not an integer");
-    }
-    if (v < lo || v > hi) {
-      fail(i, "is outside [" + std::to_string(lo) + ", " +
-                  std::to_string(hi) + "]");
-    }
-    return static_cast<T>(v);
-  }
-  double number(std::size_t i) const {
-    try {
-      return parse_finite_double(row[i]);
-    } catch (const Error&) {
-      fail(i, "is not a finite number");
+TimePoint clamp_into(TimePoint t, const ObservationWindow& window) {
+  return std::clamp(t, window.begin, window.end - 1);
+}
+
+// Server ids as written in servers.csv, resolved to database ids. Ids equal
+// to their row position resolve by a range check; the others (a lenient
+// load's remapped servers) through a hash map, where -1 marks a server whose
+// row was quarantined.
+class ServerIds {
+ public:
+  void add(std::int64_t file_id, ServerId id) {
+    if (file_id == id.value && static_cast<std::size_t>(file_id) == dense_) {
+      ++dense_;
+    } else {
+      sparse_[file_id] = id.value;
     }
   }
-  // An enum symbol, read by `parse` (which throws on an unknown one).
-  template <typename Parse>
-  auto symbol(std::size_t i, Parse parse) const {
-    try {
-      return parse(row[i]);
-    } catch (const Error&) {
-      fail(i, "is not a known value");
+  void quarantine(std::int64_t file_id) { sparse_.emplace(file_id, -1); }
+  std::optional<ServerId> resolve(std::int64_t file_id) const {
+    if (file_id >= 0 && static_cast<std::uint64_t>(file_id) < dense_) {
+      return ServerId{static_cast<std::int32_t>(file_id)};
     }
+    const auto it = sparse_.find(file_id);
+    if (it == sparse_.end() || it->second < 0) return std::nullopt;
+    return ServerId{it->second};
   }
-  std::optional<double> opt_number(std::size_t i) const {
-    if (empty(i)) return std::nullopt;
-    return number(i);
+  // Asked only of ids that did not resolve.
+  bool quarantined(std::int64_t file_id) const {
+    return sparse_.count(file_id) > 0;
   }
-  // A server reference: any ticket's server, crash or not, and every
-  // monitoring row's must name a loaded server.
-  ServerId server(std::size_t i, std::size_t servers) const {
-    const auto v = integer(i);
-    if (v < 0 || static_cast<std::uint64_t>(v) >= servers) {
-      throw Error("names server " + row[i] +
-                  ", outside the servers table (" + std::to_string(servers) +
-                  " rows)");
-    }
-    return ServerId{static_cast<std::int32_t>(v)};
-  }
+
+ private:
+  std::size_t dense_ = 0;  // ids [0, dense_) are their own database ids
+  std::unordered_map<std::int64_t, std::int32_t> sparse_;
 };
 
-// Reads every record of `path` through `decode(fields)`; any error
-// is rethrown naming the file and the 1-based record.
-template <typename Decode>
-void for_each_record(const std::string& path,
-                     const std::vector<std::string>& header, Decode decode) {
-  auto in = open_in(path);
-  CsvReader r(in);
-  expect_header(r, header, path);
-  std::vector<std::string> row;
-  for (std::size_t record = 1; r.read_row(row); ++record) {
-    try {
-      if (row.size() != header.size()) {
-        throw Error("has " + std::to_string(row.size()) +
-                    " fields, expected " + std::to_string(header.size()));
+// A decoded ticket with its ids as written, before the ticket rules run.
+struct StagedTicket {
+  Ticket t;
+  std::int64_t file_id = 0;
+  std::optional<std::int64_t> incident;
+  std::optional<std::int64_t> server;
+  std::size_t record = 0;
+};
+
+constexpr std::size_t kWholeRecord = std::numeric_limits<std::size_t>::max();
+
+// One load of an export (see load_database): a decoder per table turns each
+// record into its row or into a located defect. Without a report the first
+// defect throws; with one it is recorded, and the row is repaired or
+// quarantined by the rule of its class.
+class Decoder {
+ public:
+  Decoder(const std::string& directory, SanitizationReport* report)
+      : directory_(directory), report_(report) {}
+
+  TraceDatabase run() {
+    read_meta();
+    read_servers();
+    read_tickets();
+    read_weekly_usage();
+    read_power_events();
+    read_snapshots();
+    db_.finalize();
+    return std::move(db_);
+  }
+
+ private:
+  bool strict() const { return report_ == nullptr; }
+  std::string path() const { return directory_ + "/" + *file_; }
+  std::string where() const {
+    return "load_database: " + path() + " record " + std::to_string(record_);
+  }
+
+  // Calls `decode()` on every record of `file` with the header's field
+  // count; `decode` returns whether it kept the row.
+  template <typename Decode>
+  void read(const std::string& file, const std::vector<std::string>& header,
+            Decode decode) {
+    file_ = &file;
+    header_ = &header;
+    std::ifstream in(path());
+    require(in.good(), "load_database: cannot open " + path());
+    CsvReader reader(in);
+    expect_header(reader, header, path());
+    if (report_) report_->files.push_back({file, 0, 0});
+    for (record_ = 1; reader.read_row(row_); ++record_) {
+      if (row_.size() != header.size()) {
+        quarantine(kWholeRecord, DefectClass::kUnparseableField,
+                   "expected " + std::to_string(header.size()) +
+                       " fields, got " + std::to_string(row_.size()));
+      } else if (decode()) {
+        keep();
       }
-      decode(Fields{row, header});
+    }
+    if (report_) report_->files.back().rows = record_ - 1;
+  }
+  void keep() {
+    if (report_) ++report_->files.back().kept;
+  }
+
+  // Records a defect of the current record in `column`. A strict load
+  // throws it instead, naming the file, the record, the column and the
+  // value.
+  void defect(std::size_t column, DefectClass cls, DefectAction action,
+              std::string detail) {
+    if (strict()) {
+      std::string what = where();
+      if (column != kWholeRecord) {
+        what += " column " + (*header_)[column] + " '" + row_[column] + "'";
+      }
+      throw Error(what + ": " + std::string(to_string(cls)) + " (" + detail +
+                  ")");
+    }
+    report_->defects.push_back(
+        {*file_, record_, cls, action, std::move(detail)});
+  }
+  bool quarantine(std::size_t column, DefectClass cls, std::string detail) {
+    defect(column, cls, DefectAction::kQuarantined, std::move(detail));
+    return false;
+  }
+
+  std::optional<std::int64_t> integer(std::size_t i) const {
+    return attempt(parse_int, row_[i]);
+  }
+  // Reads the integer `columns` into `v`, indexed by column; an empty
+  // column in `absent_if_empty` keeps its value in `v`. Returns the first
+  // column that is not an integer, or kWholeRecord.
+  std::size_t first_bad_integer(
+      std::initializer_list<std::size_t> columns, std::int64_t* v,
+      std::initializer_list<std::size_t> absent_if_empty = {}) const {
+    for (std::size_t i : columns) {
+      if (row_[i].empty() && std::find(absent_if_empty.begin(),
+                                       absent_if_empty.end(),
+                                       i) != absent_if_empty.end()) {
+        continue;
+      }
+      const auto parsed = integer(i);
+      if (!parsed) return i;
+      v[i] = *parsed;
+    }
+    return kWholeRecord;
+  }
+  // Reads column `i` into `out`, an integer of the width of its field.
+  template <typename T>
+  bool integer(std::size_t i, const char* name, T& out) {
+    const auto v = integer(i);
+    if (!v || !fits<T>(*v)) {
+      return quarantine(i, DefectClass::kUnparseableField,
+                        name + (" '" + row_[i]) +
+                            (v ? "' is out of range" : "' is not an integer"));
+    }
+    out = static_cast<T>(*v);
+    return true;
+  }
+  // Reads column `i` into `out`; where `out` is optional an empty column is
+  // absent. nan and inf are non_finite_numeric defects.
+  template <typename T>
+  bool number(std::size_t i, const char* name, T& out) {
+    const std::string& field = row_[i];
+    if (!std::is_same_v<T, double> && field.empty()) return true;
+    if (const auto v = attempt(parse_finite_double, field)) {
+      out = *v;
+      return true;
+    }
+    if (attempt(parse_double, field)) {
+      return quarantine(i, DefectClass::kNonFiniteNumeric,
+                        name + (" is non-finite ('" + field + "')"));
+    }
+    return quarantine(i, DefectClass::kUnparseableField,
+                      name + (" '" + field + "' is not a number"));
+  }
+  // Subsystem values index per-subsystem tables downstream.
+  bool subsystem(std::size_t i, std::int64_t v, Subsystem& out) {
+    if (v < 0 || v >= kSubsystemCount) {
+      return quarantine(i, DefectClass::kUnknownEnum,
+                        "subsystem '" + row_[i] + "' unknown");
+    }
+    out = static_cast<Subsystem>(v);
+    return true;
+  }
+  // The database id of the server a row names in `column`, or nullopt. A
+  // server never inventoried is an orphan_reference: the row is dropped,
+  // or with `keep_row` only its reference cleared. A server whose own row
+  // was quarantined drops the row as a cascade, which is no new defect.
+  std::optional<ServerId> server(std::size_t column, std::int64_t file_id,
+                                 bool keep_row = false) {
+    if (const auto id = ids_.resolve(file_id)) return id;
+    if (strict()) {
+      throw Error(where() + " names server " + row_[column] +
+                  ", outside the servers table (" +
+                  std::to_string(db_.servers().size()) + " rows)");
+    }
+    if (ids_.quarantined(file_id)) {
+      ++report_->cascade_drops;
+    } else {
+      defect(column, DefectClass::kOrphanReference, DefectAction::kRepaired,
+             "references unknown server " + std::to_string(file_id) +
+                 (keep_row ? "; reference cleared" : "; orphan dropped"));
+    }
+    return std::nullopt;
+  }
+
+  void read_meta() {
+    // meta.csv is optional for older or hand-authored exports: without it
+    // the paper's windows apply.
+    if (!std::filesystem::exists(directory_ + "/" + kMetaFile)) return;
+    static const std::array<std::string, 3> kNames = {"ticket", "monitoring",
+                                                      "onoff"};
+    std::array<ObservationWindow, 3> windows = {
+        db_.window(), db_.monitoring(), db_.onoff_tracking()};
+    read(kMetaFile, meta_header(), [&] {
+      std::int64_t v[3] = {};
+      if (const auto bad = first_bad_integer({1, 2}, v); bad != kWholeRecord) {
+        return quarantine(bad, DefectClass::kUnparseableField,
+                          "window bounds '" + row_[1] + "'/'" + row_[2] +
+                              "' are not integers");
+      }
+      const auto name = std::find(kNames.begin(), kNames.end(), row_[0]);
+      if (name == kNames.end()) {
+        return quarantine(0, DefectClass::kUnknownEnum,
+                          "unknown window '" + row_[0] + "'");
+      }
+      windows[static_cast<std::size_t>(name - kNames.begin())] = {v[1], v[2]};
+      return true;
+    });
+    try {
+      db_.set_windows(windows[0], windows[1], windows[2]);
     } catch (const Error& e) {
-      throw Error("load_database: " + path + " record " +
-                  std::to_string(record) + " " + e.what());
+      if (strict()) throw Error("load_database: " + path() + ": " + e.what());
+      record_ = 0;
+      quarantine(kWholeRecord, DefectClass::kUnparseableField,
+                 std::string("inconsistent windows (") + e.what() +
+                     "); paper defaults kept");
     }
   }
-}
 
+  void read_servers() {
+    read(kServersFile, servers_header(), [&] {
+      const auto file_id = integer(0);
+      if (!file_id) {
+        return quarantine(0, DefectClass::kUnparseableField,
+                          "id '" + row_[0] + "' is not an integer");
+      }
+      if (add_server(*file_id)) return true;
+      ids_.quarantine(*file_id);  // its rows elsewhere go with it
+      return false;
+    });
+  }
+  bool add_server(std::int64_t file_id) {
+    ServerRecord s;
+    const auto type = attempt(machine_type_from_string, row_[1]);
+    if (!type) {
+      return quarantine(1, DefectClass::kUnknownEnum,
+                        "unknown machine type '" + row_[1] + "'");
+    }
+    s.type = *type;
+    const auto sys = integer(2);
+    if (!sys) {
+      return quarantine(2, DefectClass::kUnparseableField,
+                        "subsystem '" + row_[2] + "' unknown");
+    }
+    if (!subsystem(2, *sys, s.subsystem) ||
+        !integer(3, "cpu_count", s.cpu_count) ||
+        !number(4, "memory_gb", s.memory_gb) ||
+        !number(5, "disk_gb", s.disk_gb) ||
+        (!row_[6].empty() &&
+         !integer(6, "disk_count", s.disk_count.emplace())) ||
+        (!row_[7].empty() && !integer(7, "host_box", s.host_box.value)) ||
+        !integer(8, "first_record", s.first_record)) {
+      return false;
+    }
+    const auto position = static_cast<std::int64_t>(db_.servers().size());
+    if (strict() && file_id != position) {
+      return quarantine(0, DefectClass::kDuplicateId,
+                        "out of sequence (expected " +
+                            std::to_string(position) + ")");
+    }
+    if (ids_.resolve(file_id)) {
+      defect(0, DefectClass::kDuplicateId, DefectAction::kRepaired,
+             "duplicate server id " + std::to_string(file_id) +
+                 "; kept first occurrence");
+      return false;
+    }
+    ids_.add(file_id, db_.add_server(s));
+    return true;
+  }
+
+  void read_tickets() {
+    std::vector<StagedTicket> staged;
+    std::int64_t max_incident = -1;
+    read(kTicketsFile, tickets_header(), [&] {
+      StagedTicket st;
+      if (!decode_ticket(st)) return false;
+      if (st.incident && *st.incident >= 0 && *st.incident <= kMaxIncidentId) {
+        max_incident = std::max(max_incident, *st.incident);
+      }
+      if (strict()) return add_ticket(st);
+      staged.push_back(st);
+      return false;  // kept once the ticket rules have run
+    });
+    // Fresh incidents for crash tickets without one follow every incident
+    // in the file, so the lenient rules run once it is read.
+    db_.raise_incident_counter(max_incident + 1);
+    for (StagedTicket& st : staged) {
+      if (add_ticket(st)) keep();
+    }
+  }
+  bool decode_ticket(StagedTicket& st) {
+    std::int64_t v[8] = {};
+    if (const auto bad = first_bad_integer({0, 1, 2, 3, 4, 6, 7}, v, {1, 2});
+        bad != kWholeRecord) {
+      return quarantine(bad, DefectClass::kUnparseableField,
+                        "numeric ticket field failed to parse");
+    }
+    if (!subsystem(3, v[3], st.t.subsystem)) return false;
+    st.file_id = v[0];
+    if (!row_[1].empty()) st.incident = v[1];
+    if (!row_[2].empty()) st.server = v[2];
+    st.t.is_crash = v[4] != 0;
+    st.t.opened = v[6];
+    st.t.closed = v[7];
+    const auto cls = attempt(failure_class_from_string, row_[5]);
+    st.t.true_class = cls.value_or(FailureClass::kOther);
+    if (!cls) {
+      defect(5, DefectClass::kUnknownEnum, DefectAction::kRepaired,
+             "unknown failure class '" + row_[5] + "'; reassigned to 'other'");
+    }
+    // The row buffer is reused, so the text goes to the database now.
+    st.t.description = db_.store_text(row_[8]);
+    st.t.resolution = db_.store_text(row_[9]);
+    st.record = record_;
+    return true;
+  }
+  bool add_ticket(StagedTicket& st) {
+    record_ = st.record;
+    Ticket& t = st.t;
+    const auto position = static_cast<std::int64_t>(db_.tickets().size());
+    if (strict() && st.file_id != position) {
+      return quarantine(0, DefectClass::kDuplicateId,
+                        "out of sequence (expected " +
+                            std::to_string(position) + ")");
+    }
+    if (!strict() && !ticket_ids_.insert(st.file_id).second) {
+      defect(0, DefectClass::kDuplicateId, DefectAction::kRepaired,
+             "duplicate ticket id " + std::to_string(st.file_id) +
+                 "; kept first occurrence");
+      return false;
+    }
+    // A crash ticket must name a machine; a background ticket naming an
+    // unknown one keeps its row.
+    if (st.server) {
+      const auto id = server(2, *st.server, !t.is_crash);
+      if (id) {
+        t.server = *id;
+      } else if (t.is_crash) {
+        return false;
+      }
+    } else if (t.is_crash) {
+      defect(2, DefectClass::kOrphanReference, DefectAction::kRepaired,
+             "crash ticket without server; orphan dropped");
+      return false;
+    }
+    if (st.incident && (*st.incident < 0 || *st.incident > kMaxIncidentId)) {
+      return quarantine(1, DefectClass::kUnparseableField,
+                        "incident " + std::to_string(*st.incident) +
+                            " outside [0, " + std::to_string(kMaxIncidentId) +
+                            "]");
+    }
+    if (st.incident) {
+      t.incident = IncidentId{static_cast<std::int32_t>(*st.incident)};
+    } else if (t.is_crash) {
+      // A lenient load gives the crash a fresh incident while ids are left.
+      if (strict() || db_.incident_ids_exhausted()) {
+        return quarantine(1, DefectClass::kOrphanReference,
+                          "crash ticket without incident");
+      }
+      t.incident = db_.new_incident();
+      defect(1, DefectClass::kOrphanReference, DefectAction::kRepaired,
+             "crash ticket without incident; assigned fresh id " +
+                 std::to_string(t.incident.value));
+    }
+    if (t.closed < t.opened) {
+      return quarantine(7, DefectClass::kEndBeforeOpen,
+                        "closed " + std::to_string(t.closed) +
+                            " precedes opened " + std::to_string(t.opened));
+    }
+    if (!strict() && !db_.window().contains(t.opened)) {
+      // Clip the failure timestamp into the observation window and shift
+      // the closing time with it: repair durations survive the repair.
+      // (Closing times legitimately run past the window end, as in the
+      // paper's data, so only `opened` is window-checked.)
+      // A repair duration that does not fit a TimePoint once moved (from
+      // hostile timestamps) cannot be kept, so the row is quarantined.
+      const TimePoint opened = clamp_into(t.opened, db_.window());
+      TimePoint duration = 0;
+      TimePoint closed = 0;
+      if (__builtin_sub_overflow(t.closed, t.opened, &duration) ||
+          __builtin_add_overflow(opened, duration, &closed)) {
+        return quarantine(6, DefectClass::kOutOfWindowTimestamp,
+                          "ticket opened at " + std::to_string(t.opened) +
+                              " cannot be clipped: its duration overflows");
+      }
+      defect(6, DefectClass::kOutOfWindowTimestamp, DefectAction::kRepaired,
+             "ticket opened at " + std::to_string(t.opened) +
+                 " clipped into the observation window");
+      t.opened = opened;
+      t.closed = closed;
+    }
+    db_.add_stored_ticket(t);
+    return true;
+  }
+
+  void read_weekly_usage() {
+    const int weeks = db_.window().week_count();
+    // Truncation counts every row whose server and week parse, also rows
+    // quarantined below, so a nan in a final week is not a truncated
+    // series too.
+    struct SeriesSpan {
+      std::int64_t file_id = 0;
+      int max_week = -1;
+      std::size_t last_record = 0;
+    };
+    std::vector<SeriesSpan> spans(strict() ? 0 : db_.servers().size());
+    read(kWeeklyUsageFile, weekly_usage_header(), [&] {
+      std::int64_t v[2] = {};  // server, week
+      if (const auto bad = first_bad_integer({0, 1}, v); bad != kWholeRecord) {
+        return quarantine(bad, DefectClass::kUnparseableField,
+                          "server/week '" + row_[0] + "'/'" + row_[1] +
+                              "' failed to parse");
+      }
+      const auto known = strict() ? std::nullopt : ids_.resolve(v[0]);
+      if (known && fits<int>(v[1])) {
+        SeriesSpan& span = spans[static_cast<std::size_t>(known->value)];
+        if (v[1] > span.max_week) {
+          span = {v[0], static_cast<int>(v[1]), record_};
+        }
+      }
+      WeeklyUsage u;
+      if (!number(2, "cpu_util", u.cpu_util) ||
+          !number(3, "mem_util", u.mem_util) ||
+          !number(4, "disk_util", u.disk_util) ||
+          !number(5, "net_kbps", u.net_kbps)) {
+        return false;
+      }
+      if (!fits<int>(v[1]) || (!strict() && (v[1] < 0 || v[1] >= weeks))) {
+        return quarantine(1, DefectClass::kOutOfWindowTimestamp,
+                          "week " + std::to_string(v[1]) +
+                              " outside the observation year");
+      }
+      const auto id = server(0, v[0]);
+      if (!id) return false;
+      u.server = *id;
+      u.week = static_cast<int>(v[1]);
+      db_.add_weekly_usage(u);
+      return true;
+    });
+    for (const SeriesSpan& span : spans) {
+      if (span.max_week >= 0 && span.max_week < weeks - 1) {
+        record_ = span.last_record;
+        defect(kWholeRecord, DefectClass::kTruncatedSeries,
+               DefectAction::kRepaired,
+               "series for server " + std::to_string(span.file_id) +
+                   " ends at week " + std::to_string(span.max_week) + " of " +
+                   std::to_string(weeks - 1) + "; gap tolerated");
+      }
+    }
+  }
+
+  void read_power_events() {
+    const ObservationWindow coverage = db_.monitoring();
+    read(kPowerEventsFile, power_events_header(), [&] {
+      std::int64_t v[3] = {};  // server, at, powered_on
+      if (const auto bad = first_bad_integer({0, 1, 2}, v);
+          bad != kWholeRecord) {
+        return quarantine(bad, DefectClass::kUnparseableField,
+                          "power event field failed to parse");
+      }
+      PowerEvent e;
+      e.at = v[1];
+      e.powered_on = v[2] != 0;
+      if (!strict() && !coverage.contains(e.at)) {
+        defect(1, DefectClass::kOutOfWindowTimestamp, DefectAction::kRepaired,
+               "event at " + std::to_string(e.at) +
+                   " clipped into monitoring coverage");
+        e.at = clamp_into(e.at, coverage);
+      }
+      const auto id = server(0, v[0]);
+      if (!id) return false;
+      e.server = *id;
+      db_.add_power_event(e);
+      return true;
+    });
+  }
+
+  void read_snapshots() {
+    const int months = db_.window().month_count();
+    read(kSnapshotsFile, snapshots_header(), [&] {
+      std::int64_t v[4] = {0, 0, -1, 0};  // server, month, box, consolidation
+      if (const auto bad = first_bad_integer({0, 1, 2, 3}, v, {2});
+          bad != kWholeRecord) {
+        return quarantine(bad, DefectClass::kUnparseableField,
+                          "snapshot field failed to parse");
+      }
+      if (v[3] < 1) {
+        return quarantine(3, DefectClass::kUnparseableField,
+                          "consolidation " + std::to_string(v[3]) +
+                              " below 1");
+      }
+      if (!fits<int>(v[3]) || !fits<std::int32_t>(v[2])) {
+        return quarantine(fits<int>(v[3]) ? 2 : 3,
+                          DefectClass::kUnparseableField,
+                          "snapshot field out of range");
+      }
+      if (!fits<int>(v[1]) || (!strict() && (v[1] < 0 || v[1] >= months))) {
+        return quarantine(1, DefectClass::kOutOfWindowTimestamp,
+                          "month " + std::to_string(v[1]) +
+                              " outside the observation year");
+      }
+      const auto id = server(0, v[0]);
+      if (!id) return false;
+      MonthlySnapshot s;
+      s.server = *id;
+      s.month = static_cast<int>(v[1]);
+      if (v[2] >= 0) s.box = BoxId{static_cast<std::int32_t>(v[2])};
+      s.consolidation = static_cast<int>(v[3]);
+      db_.add_monthly_snapshot(s);
+      return true;
+    });
+  }
+
+  const std::string& directory_;
+  SanitizationReport* report_;
+  TraceDatabase db_;
+  ServerIds ids_;
+  std::unordered_set<std::int64_t> ticket_ids_;  // a lenient load's dedup
+  // The record being decoded.
+  const std::string* file_ = nullptr;
+  const std::vector<std::string>* header_ = nullptr;
+  std::vector<std::string> row_;
+  std::size_t record_ = 0;
+};
 }  // namespace
 
 const std::vector<std::string>& meta_header() {
@@ -283,121 +763,23 @@ void save_database(const TraceDatabase& db, const std::string& directory) {
   }
 }
 
-TraceDatabase load_database(const std::string& directory) {
+TraceDatabase load_database(const std::string& directory,
+                            SanitizationReport* report) {
   obs::Span span("trace.load_database");
-  TraceDatabase db;
-  std::int64_t max_incident = -1;
-
-  // meta.csv is optional for backward/hand-authored traces: absent, the
-  // paper's default windows apply.
-  if (std::filesystem::exists(directory + "/" + kMetaFile)) {
-    ObservationWindow ticket = db.window();
-    ObservationWindow monitoring = db.monitoring();
-    ObservationWindow onoff = db.onoff_tracking();
-    for_each_record(
-        directory + "/" + kMetaFile, meta_header(),
-        [&](const Fields& f) {
-          const ObservationWindow window{f.integer(1), f.integer(2)};
-          if (f.row[0] == "ticket") {
-            ticket = window;
-          } else if (f.row[0] == "monitoring") {
-            monitoring = window;
-          } else if (f.row[0] == "onoff") {
-            onoff = window;
-          } else {
-            f.fail(0, "is not a known window");
-          }
-        });
-    db.set_windows(ticket, monitoring, onoff);
+  if (report) *report = SanitizationReport{};
+  TraceDatabase db = Decoder(directory, report).run();
+  if (report) {
+    // Metric families are emitted complete (add(0) for absent classes), so
+    // a clean run and a dirty run export the same set of label values.
+    for (DefectClass cls : kAllDefectClasses) {
+      obs::counter("fa.sanitize.defects",
+                   {{"class", std::string(to_string(cls))}})
+          .add(report->count(cls));
+    }
+    obs::counter("fa.sanitize.repaired").add(report->repaired());
+    obs::counter("fa.sanitize.quarantined").add(report->quarantined());
+    obs::counter("fa.sanitize.cascade_drops").add(report->cascade_drops);
   }
-
-  for_each_record(
-      directory + "/" + kServersFile, servers_header(),
-      [&](const Fields& f) {
-        ServerRecord s;
-        s.type = f.symbol(1, machine_type_from_string);
-        // Subsystem values index per-subsystem tables downstream.
-        s.subsystem = f.integer<Subsystem>(2, 0, kSubsystemCount - 1);
-        s.cpu_count = f.integer<int>(3);
-        s.memory_gb = f.number(4);
-        s.disk_gb = f.opt_number(5);
-        if (!f.empty(6)) s.disk_count = f.integer<int>(6);
-        if (!f.empty(7)) s.host_box = BoxId{f.integer<std::int32_t>(7)};
-        s.first_record = f.integer(8);
-        const auto position = static_cast<std::int64_t>(db.servers().size());
-        if (f.integer(0) != position) {
-          f.fail(0, "is out of sequence (expected " +
-                        std::to_string(position) + ")");
-        }
-        db.add_server(s);
-      });
-  for_each_record(
-      directory + "/" + kTicketsFile, tickets_header(),
-      [&](const Fields& f) {
-        Ticket t;
-        if (!f.empty(1)) {
-          // One past the highest incident restores the counter, so the
-          // largest id leaves room for it.
-          t.incident = IncidentId{f.integer<std::int32_t>(
-              1, 0, std::numeric_limits<std::int32_t>::max() - 1)};
-          max_incident = std::max<std::int64_t>(max_incident,
-                                                t.incident.value);
-        }
-        if (!f.empty(2)) t.server = f.server(2, db.servers().size());
-        t.subsystem = f.integer<Subsystem>(3, 0, kSubsystemCount - 1);
-        t.is_crash = f.integer(4) != 0;
-        t.true_class = f.symbol(5, failure_class_from_string);
-        t.opened = f.integer(6);
-        t.closed = f.integer(7);
-        if (t.closed < t.opened) f.fail(7, "precedes opened " + f.row[6]);
-        // A crash ticket needs a machine and an incident.
-        if (t.is_crash && !t.server.valid()) f.fail(2, "is empty on a crash");
-        if (t.is_crash && !t.incident.valid()) {
-          f.fail(1, "is empty on a crash");
-        }
-        t.description = f.row[8];  // add_ticket copies the text in
-        t.resolution = f.row[9];
-        const auto position = static_cast<std::int64_t>(db.tickets().size());
-        if (f.integer(0) != position) {
-          f.fail(0, "is out of sequence (expected " +
-                        std::to_string(position) + ")");
-        }
-        db.add_ticket(t);
-      });
-  for_each_record(
-      directory + "/" + kWeeklyUsageFile, weekly_usage_header(),
-      [&](const Fields& f) {
-        WeeklyUsage u;
-        u.server = f.server(0, db.servers().size());
-        u.week = f.integer<int>(1);
-        u.cpu_util = f.number(2);
-        u.mem_util = f.number(3);
-        u.disk_util = f.opt_number(4);
-        u.net_kbps = f.opt_number(5);
-        db.add_weekly_usage(u);
-      });
-  for_each_record(
-      directory + "/" + kPowerEventsFile, power_events_header(),
-      [&](const Fields& f) {
-        PowerEvent e;
-        e.server = f.server(0, db.servers().size());
-        e.at = f.integer(1);
-        e.powered_on = f.integer(2) != 0;
-        db.add_power_event(e);
-      });
-  for_each_record(
-      directory + "/" + kSnapshotsFile, snapshots_header(),
-      [&](const Fields& f) {
-        MonthlySnapshot s;
-        s.server = f.server(0, db.servers().size());
-        s.month = f.integer<int>(1);
-        if (!f.empty(2)) s.box = BoxId{f.integer<std::int32_t>(2)};
-        s.consolidation = f.integer<int>(3, 1);
-        db.add_monthly_snapshot(s);
-      });
-
-  db.raise_incident_counter(max_incident + 1);
-  db.finalize();
   return db;
 }
 

@@ -11,9 +11,10 @@
 
 namespace fa::trace {
 
-// Canonical file names and header rows of the on-disk schema, shared by the
-// strict loader, the lenient sanitizer (sanitize.h) and the fault injector
-// (src/inject/corruptor.h).
+struct SanitizationReport;
+
+// Canonical file names and header rows of the on-disk schema, shared by
+// the loader and the fault injector (src/inject/corruptor.h).
 inline const std::string kMetaFile = "meta.csv";
 inline const std::string kServersFile = "servers.csv";
 inline const std::string kTicketsFile = "tickets.csv";
@@ -38,12 +39,21 @@ void expect_header(CsvReader& reader, const std::vector<std::string>& want,
 // snapshots.csv into `directory` (created if missing).
 void save_database(const TraceDatabase& db, const std::string& directory);
 
-// Loads the files written by save_database and returns a finalized database.
-// Strict: the first malformed field, integer outside its field's width,
-// duplicate/non-contiguous id, dangling reference or non-finite numeric
-// throws fa::Error naming the file, the 1-based record, the column and the
-// value. Observation windows and series length are not checked. See
-// sanitize.h for the lenient, repairing loader.
-TraceDatabase load_database(const std::string& directory);
+// Loads the files written by save_database and returns a finalized
+// database. One decoder per table turns each record into its row or into a
+// located defect (sanitize.h lists the classes); missing files and bad
+// headers throw in both modes.
+//
+// Without a report the load is strict: the first defect throws fa::Error
+// naming the file, the 1-based record, the column and the value. Ids must
+// also equal their row position and every server reference must name a
+// loaded server; observation windows and series length are not checked.
+//
+// With a report the load is lenient, the reproduction of the paper's
+// sanitization step: each defect is recorded in `*report` (overwritten)
+// and its row repaired or quarantined by the rule of its class, and the
+// fa.sanitize.* counters are added to.
+TraceDatabase load_database(const std::string& directory,
+                            SanitizationReport* report = nullptr);
 
 }  // namespace fa::trace

@@ -1,7 +1,6 @@
 #include "src/trace/database.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <string>
@@ -138,14 +137,14 @@ void TraceDatabase::reserve(std::size_t servers, std::size_t tickets,
 }
 
 IncidentId TraceDatabase::new_incident() {
-  require(next_incident_ < std::numeric_limits<std::int32_t>::max(),
+  require(!incident_ids_exhausted(),
           "TraceDatabase::new_incident: incident ids exhausted");
   return IncidentId{next_incident_++};
 }
 
 void TraceDatabase::raise_incident_counter(std::int64_t next) {
-  const std::int64_t clamped = std::clamp<std::int64_t>(
-      next, 0, std::numeric_limits<std::int32_t>::max());
+  const std::int64_t clamped =
+      std::clamp<std::int64_t>(next, 0, std::int64_t{kMaxIncidentId} + 1);
   next_incident_ =
       std::max(next_incident_, static_cast<std::int32_t>(clamped));
 }

@@ -7,6 +7,8 @@
 // fa::trace::load_database().
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -16,6 +18,11 @@
 #include "src/util/sim_time.h"
 
 namespace fa::trace {
+
+// The largest incident id a database holds: one past it must still fit the
+// int32 incident counter. Loaders refuse or quarantine larger ones.
+inline constexpr std::int32_t kMaxIncidentId =
+    std::numeric_limits<std::int32_t>::max() - 1;
 
 // Ticket text lives in the database's own arena, so every Ticket the
 // database hands out views bytes it owns. Moving the database keeps those
@@ -48,11 +55,14 @@ class TraceDatabase {
                std::size_t weekly_usage, std::size_t power_events,
                std::size_t snapshots);
   // Allocates a fresh incident id (tickets sharing one incident share it).
-  // Throws once every non-negative int32 id is taken.
+  // Throws once every id up to kMaxIncidentId is taken.
   IncidentId new_incident();
+  bool incident_ids_exhausted() const {
+    return next_incident_ > kMaxIncidentId;
+  }
   // Raises the incident counter so new_incident() returns no id below
-  // `next` (clamped to the int32 range); never lowers it. Loaders call it
-  // with one past the highest incident id they loaded.
+  // `next` (clamped to [0, kMaxIncidentId + 1]); never lowers it. Loaders
+  // call it with one past the highest incident id they loaded.
   void raise_incident_counter(std::int64_t next);
 
   // Overrides the observation windows (defaults are the paper's 2012-2013

@@ -1,20 +1,17 @@
-// Lenient, repairing loader for trace CSV exports — the reproduction of the
-// paper's data-sanitization step. Where load_database (csv_io.h) aborts on
-// the first malformed field, sanitize_database classifies every defective
-// row into a small taxonomy and either repairs it by an explicit rule or
-// quarantines it, then returns the cleaned database together with a full
-// accounting of what was changed. Strict loading stays the default; the
-// lenient path is opt-in for dirty real-world exports and for the
-// fault-injection harness (src/inject/corruptor.h).
+// Defect taxonomy and report of the paper's data-sanitization step. A
+// lenient load_database (csv_io.h) classifies every defective row into one
+// class below and either repairs it by an explicit rule or quarantines it,
+// and accounts for each in a SanitizationReport; a strict load refuses the
+// export at its first defect instead. The fault injector
+// (src/inject/corruptor.h) plants defects of the same classes.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "src/trace/database.h"
 
 namespace fa::trace {
 
@@ -29,20 +26,24 @@ enum class DefectClass : std::uint8_t {
   // A numeric field parses but is nan/inf.
   kNonFiniteNumeric = 1,
   // A row reuses an id column value already seen in its file. Repair:
-  // keep-first, drop later duplicates.
+  // keep-first, drop later duplicates. A strict load refuses any id that
+  // is not its row's position.
   kDuplicateId = 2,
   // A timestamp lies outside the declared observation window. Repair:
   // clip tickets into the ticket window, power events into monitoring
-  // coverage; week/month indexed rows are quarantined.
+  // coverage; week/month indexed rows are quarantined. A strict load
+  // checks no windows; it refuses only a week or month wider than int.
   kOutOfWindowTimestamp = 3,
   // A ticket closes before it opens.
   kEndBeforeOpen = 4,
   // A row references a machine the inventory does not contain (orphan
   // crash ticket / monitoring record), or a crash ticket lacks an incident.
-  // Repair: drop the orphan row; missing incidents get a fresh id.
+  // Repair: drop the orphan row; missing incidents get a fresh id (the
+  // ticket is quarantined once every incident id is taken).
   kOrphanReference = 5,
   // A server's weekly monitoring series ends before the observation year
-  // does. The gap is tolerated (rows kept) but recorded.
+  // does. The gap is tolerated (rows kept) but recorded. Not checked by a
+  // strict load.
   kTruncatedSeries = 6,
   // An enum-valued field holds an unknown symbol. Repair: unknown failure
   // classes fall back to "other"; unknown machine types are quarantined.
@@ -108,16 +109,5 @@ struct SanitizationReport {
   // Full defect list: "file,row,class,action,detail" lines.
   std::string defects_csv() const;
 };
-
-struct SanitizedDatabase {
-  TraceDatabase db;
-  SanitizationReport report;
-};
-
-// Loads the export in `directory` in lenient mode. Structural problems the
-// sanitizer cannot work around (missing files, unreadable headers) still
-// throw fa::Error; everything row-level is repaired or quarantined and
-// recorded. The returned database is finalized.
-SanitizedDatabase sanitize_database(const std::string& directory);
 
 }  // namespace fa::trace

@@ -52,7 +52,9 @@ class CsvReader {
   std::string line_;  // reused across rows
 };
 
-// Field conversion helpers; throw fa::Error with the offending text.
+// Field conversion helpers, the one set the trace loader (in both modes)
+// and the fault injector read fields with; throw fa::Error with the
+// offending text.
 // parse_int rejects values outside the int64 range; parse_double accepts
 // anything strtod does, including "nan"/"inf" spellings.
 std::int64_t parse_int(const std::string& field);

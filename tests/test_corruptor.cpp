@@ -72,7 +72,7 @@ TEST_F(CorruptorTest, RoundTripCountsMatchPerClass) {
   const auto injected = corrupt_database(clean_dir(), out_dir("rt"), 17,
                                          DefectMix::uniform(0.03));
   EXPECT_GT(injected.total(), 0u);
-  const auto sanitized = trace::sanitize_database(out_dir("rt"));
+  const auto sanitized = fa::testing::load_lenient(out_dir("rt"));
   for (DefectClass cls : trace::kAllDefectClasses) {
     EXPECT_EQ(sanitized.report.count(cls), injected.count(cls))
         << trace::to_string(cls);
@@ -92,7 +92,7 @@ TEST_F(CorruptorTest, SingleClassMixesRoundTrip) {
     const auto injected = corrupt_database(clean_dir(), out, 23, mix);
     EXPECT_GT(injected.total(), 0u) << trace::to_string(cls);
     EXPECT_EQ(injected.total(), injected.count(cls));
-    const auto sanitized = trace::sanitize_database(out);
+    const auto sanitized = fa::testing::load_lenient(out);
     EXPECT_EQ(sanitized.report.count(cls), injected.count(cls))
         << trace::to_string(cls);
     EXPECT_EQ(sanitized.report.total_defects(), injected.total())

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <future>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -237,13 +239,13 @@ std::string escape(const std::string& defect) {
 // against the width of the field they fill.
 class HostileIdTest : public CsvInjectionTest {
  protected:
-  // Sets `column` of the first record of `file` whose `match_column` holds
-  // `match` (any record when `match_column` is empty) to `value`, and
-  // returns that record's 1-based index.
+  // Sets `column` of the first record past record `after` of `file` whose
+  // `match_column` holds `match` (any record when `match_column` is empty)
+  // to `value`, and returns that record's 1-based index.
   std::size_t edit(const std::string& file, const std::string& column,
                    const std::string& value,
                    const std::string& match_column = "",
-                   const std::string& match = "") {
+                   const std::string& match = "", std::size_t after = 0) {
     const std::string path = dir() + "/" + file;
     std::vector<std::vector<std::string>> rows;
     {
@@ -258,7 +260,7 @@ class HostileIdTest : public CsvInjectionTest {
           std::find(header.begin(), header.end(), name) - header.begin());
     };
     std::size_t record = 0;
-    for (std::size_t r = 1; r < rows.size() && record == 0; ++r) {
+    for (std::size_t r = after + 1; r < rows.size() && record == 0; ++r) {
       if (match_column.empty() || rows[r][index_of(match_column)] == match) {
         rows[r][index_of(column)] = value;
         record = r;
@@ -287,26 +289,45 @@ class HostileIdTest : public CsvInjectionTest {
   std::string lenient_defects() {
     std::string defects;
     within([&] {
-      SanitizationReport report = sanitize_database(dir()).report;
+      SanitizationReport report;
+      load_database(dir(), &report);
       defects = report.defects_csv();
     });
     return defects;
   }
 
  private:
-  // Runs `fn` on its own thread and ends the test binary when it is still
-  // running after 20 s, so a load that hangs fails instead of stalling.
+  // Runs `fn` under a watchdog thread that ends the test binary when `fn`
+  // is still running after 20 s, so a load that hangs fails instead of
+  // stalling.
   template <typename Fn>
   static void within(Fn fn) {
-    std::packaged_task<void()> task(fn);
-    auto done = task.get_future();
-    std::thread(std::move(task)).detach();
-    if (done.wait_for(std::chrono::seconds(20)) ==
-        std::future_status::timeout) {
-      ADD_FAILURE() << "load still running after 20 s";
-      std::_Exit(1);
+    std::mutex mutex;
+    std::condition_variable finished;
+    bool done = false;
+    std::thread watchdog([&] {
+      std::unique_lock lock(mutex);
+      if (!finished.wait_for(lock, std::chrono::seconds(20),
+                             [&] { return done; })) {
+        std::fputs("load still running after 20 s\n", stderr);
+        std::_Exit(1);
+      }
+    });
+    const auto stop = [&] {
+      {
+        std::lock_guard lock(mutex);
+        done = true;
+      }
+      finished.notify_one();
+      watchdog.join();
+    };
+    try {
+      fn();
+    } catch (...) {
+      stop();
+      throw;
     }
-    done.get();
+    stop();
   }
 };
 
@@ -372,6 +393,67 @@ TEST_F(HostileIdTest, UsageServerPastInt32IsRefusedNotLoadedAsServer0) {
       << lenient_defects();
 }
 
+// Once an incident of 2147483646 has raised the counter to its end, a crash
+// ticket without an incident cannot get a fresh one: the lenient load
+// quarantines it instead of failing on the exhausted counter.
+TEST_F(HostileIdTest, ExhaustedIncidentIdsQuarantineACrashWithoutOne) {
+  const std::size_t top =
+      edit(kTicketsFile, "incident", "2147483646", "is_crash", "1");
+  const std::size_t blank =
+      edit(kTicketsFile, "incident", "", "is_crash", "1", top);
+  EXPECT_NE(lenient_defects().find(
+                "tickets.csv," + std::to_string(blank) +
+                ",orphan_reference,quarantined,crash ticket without "
+                "incident\n"),
+            std::string::npos)
+      << lenient_defects();
+  EXPECT_NE(strict_error().find("tickets.csv record " +
+                                std::to_string(blank) + " column incident ''"),
+            std::string::npos)
+      << strict_error();
+}
+
+// A week wider than int is out of the observation year; it must not count
+// as the end of its server's series, which would hide the series' gap.
+TEST_F(HostileIdTest, WideWeekDoesNotHideATruncatedSeries) {
+  const std::size_t record =
+      edit(kWeeklyUsageFile, "week", "4294967348", "week", "52");
+  const std::string defects = lenient_defects();
+  EXPECT_NE(defects.find("weekly_usage.csv," + std::to_string(record) +
+                         ",out_of_window,quarantined,week 4294967348 outside "
+                         "the observation year\n"),
+            std::string::npos)
+      << defects;
+  EXPECT_NE(defects.find("weekly_usage.csv," + std::to_string(record - 1) +
+                         ",truncated_series,repaired,series for server "),
+            std::string::npos)
+      << defects;
+  EXPECT_NE(defects.find(" ends at week 51 of 52; gap tolerated\n"),
+            std::string::npos)
+      << defects;
+  EXPECT_NE(strict_error().find("weekly_usage.csv record " +
+                                std::to_string(record) +
+                                " column week '4294967348'"),
+            std::string::npos)
+      << strict_error();
+}
+
+// A ticket opened at the int64 minimum cannot be clipped into the window
+// with its duration: the lenient load quarantines it instead of failing
+// in finalize. Strict loads check no windows and keep it.
+TEST_F(HostileIdTest, UnclippableTicketIsQuarantinedNotAborted) {
+  const std::size_t record =
+      edit(kTicketsFile, "opened", "-9223372036854775808");
+  EXPECT_NE(lenient_defects().find(
+                "tickets.csv," + std::to_string(record) +
+                ",out_of_window,quarantined,ticket opened at "
+                "-9223372036854775808 cannot be clipped: its duration "
+                "overflows\n"),
+            std::string::npos)
+      << lenient_defects();
+  EXPECT_EQ(strict_error(), "loaded");
+}
+
 // One bad value in one column of the clean export, per row. A strict load
 // must fail naming the file, the record, the column and the value; a
 // lenient load must record the defect below (expected values taken from
@@ -414,6 +496,9 @@ const DecoderCase kDecoderCases[] = {
      "non_finite_numeric,quarantined,cpu_util is non-finite ('inf')"},
     {"weekly_usage.csv", "week", "x", 1,
      "unparseable_field,quarantined,server/week '0'/'x' failed to parse"},
+    {"weekly_usage.csv", "week", "4294967348", 1,
+     "out_of_window,quarantined,week 4294967348 outside the observation "
+     "year"},
     {"weekly_usage.csv", "disk_util", "bogus", 1,
      "unparseable_field,quarantined,disk_util 'bogus' is not a number"},
     {"power_events.csv", "at", "x", 1,

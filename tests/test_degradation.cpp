@@ -94,7 +94,7 @@ class DegradationTest : public ::testing::Test {
         clean_, out, seed, mix_with_total_rate(total_rate));
     EXPECT_GT(injected.total(), 0u);
     EXPECT_THROW(trace::load_database(out), Error);  // strict fails fast
-    auto sanitized = trace::sanitize_database(out);
+    auto sanitized = fa::testing::load_lenient(out);
     EXPECT_EQ(sanitized.report.total_defects(), injected.total());
     return headline_metrics(sanitized.db);
   }

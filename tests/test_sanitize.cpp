@@ -64,7 +64,7 @@ std::string ticket_row(int id, const std::string& incident, int server,
 }
 
 TEST_F(SanitizeTest, EmptyTablesProduceEmptyCleanDatabase) {
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.total_defects(), 0u);
   EXPECT_EQ(result.report.cascade_drops, 0u);
   EXPECT_TRUE(result.db.finalized());
@@ -74,7 +74,7 @@ TEST_F(SanitizeTest, CleanSimulatedExportHasZeroDefects) {
   auto config = fa::sim::SimulationConfig::paper_defaults().scaled(0.02);
   const TraceDatabase original = fa::sim::simulate(config);
   save_database(original, dir());
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.total_defects(), 0u) << result.report.to_string();
   EXPECT_EQ(result.report.cascade_drops, 0u);
   EXPECT_EQ(result.db.servers().size(), original.servers().size());
@@ -90,7 +90,7 @@ TEST_F(SanitizeTest, CleanExportKeepsTheStrictLoadsTicketText) {
   auto config = fa::sim::SimulationConfig::paper_defaults().scaled(0.02);
   save_database(fa::sim::simulate(config), dir());
   const TraceDatabase strict = load_database(dir());
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   ASSERT_EQ(result.db.tickets().size(), strict.tickets().size());
   for (std::size_t i = 0; i < strict.tickets().size(); ++i) {
     ASSERT_EQ(result.db.tickets()[i].description,
@@ -106,7 +106,7 @@ TEST_F(SanitizeTest, DuplicateServerIdKeepsFirstOccurrence) {
   write(kServersFile,
         "0,PM,0,4,8.000,,,,0\n"
         "0,PM,1,16,64.000,,,,0\n");
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kDuplicateId), 1u);
   EXPECT_EQ(result.report.repaired(), 1u);
   ASSERT_EQ(result.db.servers().size(), 1u);
@@ -121,7 +121,7 @@ TEST_F(SanitizeTest, UnknownMachineTypeQuarantinedWithCascade) {
   // A crash ticket on the quarantined server is a cascade, not a defect.
   write(kTicketsFile, ticket_row(0, "0", 1, 1, "software", win.begin + 100,
                                  win.begin + 200));
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kUnknownEnum), 1u);
   EXPECT_EQ(result.report.count(DefectClass::kOrphanReference), 0u);
   EXPECT_EQ(result.report.cascade_drops, 1u);
@@ -137,7 +137,7 @@ TEST_F(SanitizeTest, OrphanCrashTicketDroppedBackgroundReferenceCleared) {
                    win.begin + 200) +            // orphan crash: dropped
             ticket_row(1, "", 77, 0, "other", win.begin + 100,
                        win.begin + 200));        // orphan background: kept
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kOrphanReference), 2u);
   ASSERT_EQ(result.db.tickets().size(), 1u);
   EXPECT_FALSE(result.db.tickets()[0].is_crash);
@@ -150,7 +150,7 @@ TEST_F(SanitizeTest, CrashTicketWithoutIncidentGetsFreshId) {
   const auto win = ticket_window();
   write(kTicketsFile, ticket_row(0, "", 0, 1, "software", win.begin + 100,
                                  win.begin + 200));
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kOrphanReference), 1u);
   EXPECT_EQ(result.report.repaired(), 1u);
   ASSERT_EQ(result.db.tickets().size(), 1u);
@@ -165,7 +165,7 @@ TEST_F(SanitizeTest, DuplicateTicketIdKeepsFirstOccurrence) {
                    win.begin + 200) +
             ticket_row(0, "1", 0, 1, "network", win.begin + 300,
                        win.begin + 400));
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kDuplicateId), 1u);
   ASSERT_EQ(result.db.tickets().size(), 1u);
   EXPECT_EQ(result.db.tickets()[0].opened, win.begin + 100);
@@ -176,7 +176,7 @@ TEST_F(SanitizeTest, EndBeforeOpenQuarantined) {
   const auto win = ticket_window();
   write(kTicketsFile, ticket_row(0, "0", 0, 1, "software", win.begin + 200,
                                  win.begin + 100));
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kEndBeforeOpen), 1u);
   EXPECT_EQ(result.report.quarantined(), 1u);
   EXPECT_TRUE(result.db.tickets().empty());
@@ -191,7 +191,7 @@ TEST_F(SanitizeTest, OutOfWindowTicketClippedPreservingRepairDuration) {
   const TimePoint early = win.begin - from_days(10);
   write(kTicketsFile,
         ticket_row(0, "0", 0, 1, "software", early, early + repair));
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kOutOfWindowTimestamp), 1u);
   ASSERT_EQ(result.db.tickets().size(), 1u);
   const Ticket& t = result.db.tickets()[0];
@@ -206,7 +206,7 @@ TEST_F(SanitizeTest, TicketClosingPastWindowEndIsNotADefect) {
   const auto win = ticket_window();
   write(kTicketsFile, ticket_row(0, "0", 0, 1, "software", win.end - 10,
                                  win.end + kMinutesPerDay));
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.total_defects(), 0u);
   EXPECT_EQ(result.db.tickets().size(), 1u);
 }
@@ -216,7 +216,7 @@ TEST_F(SanitizeTest, UnknownFailureClassReassignedToOther) {
   const auto win = ticket_window();
   write(kTicketsFile, ticket_row(0, "0", 0, 1, "gremlins", win.begin + 100,
                                  win.begin + 200));
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kUnknownEnum), 1u);
   EXPECT_EQ(result.report.repaired(), 1u);
   ASSERT_EQ(result.db.tickets().size(), 1u);
@@ -226,7 +226,7 @@ TEST_F(SanitizeTest, UnknownFailureClassReassignedToOther) {
 TEST_F(SanitizeTest, UnparseableTicketFieldQuarantined) {
   write_one_server();
   write(kTicketsFile, "0,0,0,0,notabool,software,100,200,desc,res\n");
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kUnparseableField), 1u);
   EXPECT_TRUE(result.db.tickets().empty());
 }
@@ -234,7 +234,7 @@ TEST_F(SanitizeTest, UnparseableTicketFieldQuarantined) {
 TEST_F(SanitizeTest, WrongArityQuarantined) {
   write_one_server();
   write(kTicketsFile, "0,0\n");
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kUnparseableField), 1u);
   const auto& d = result.report.defects[0];
   EXPECT_EQ(d.file, kTicketsFile);
@@ -248,7 +248,7 @@ TEST_F(SanitizeTest, NonFiniteUsageDistinctFromUnparseable) {
         "0,0,nan,10.0,,\n"    // parses, non-finite
         "0,1,bogus,10.0,,\n"  // does not parse
         "0,2,12.5,10.0,,\n");
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kNonFiniteNumeric), 1u);
   EXPECT_EQ(result.report.count(kWeeklyUsageFile,
                                 DefectClass::kUnparseableField),
@@ -267,7 +267,7 @@ TEST_F(SanitizeTest, TruncatedSeriesToleratedButRecorded) {
     rows += "0," + std::to_string(w) + ",10.0,10.0,,\n";
   }
   write(kWeeklyUsageFile, rows);
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kTruncatedSeries), 1u);
   // Rows are kept: the gap is recorded, not repaired away.
   EXPECT_EQ(result.report.rows_kept(kWeeklyUsageFile), 6u);
@@ -277,7 +277,7 @@ TEST_F(SanitizeTest, TruncatedSeriesToleratedButRecorded) {
 TEST_F(SanitizeTest, OutOfRangeWeekQuarantined) {
   write_one_server();
   write(kWeeklyUsageFile, "0,9999,10.0,10.0,,\n");
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kOutOfWindowTimestamp), 1u);
   EXPECT_EQ(result.report.rows_kept(kWeeklyUsageFile), 0u);
 }
@@ -288,7 +288,7 @@ TEST_F(SanitizeTest, PowerEventClippedIntoMonitoringCoverage) {
   write(kPowerEventsFile,
         std::to_string(0) + "," + std::to_string(monitoring.end + 500) +
             ",1\n");
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kOutOfWindowTimestamp), 1u);
   EXPECT_EQ(result.report.repaired(), 1u);
   ASSERT_EQ(result.db.power_events_for(ServerId{0}).size(), 1u);
@@ -299,7 +299,7 @@ TEST_F(SanitizeTest, PowerEventClippedIntoMonitoringCoverage) {
 TEST_F(SanitizeTest, InvalidConsolidationQuarantined) {
   write_one_server();
   write(kSnapshotsFile, "0,1,,0\n");
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kUnparseableField), 1u);
   EXPECT_TRUE(result.db.snapshots_for(ServerId{0}).empty());
 }
@@ -309,7 +309,7 @@ TEST_F(SanitizeTest, BadMetaRowFallsBackWithoutAborting) {
         "ticket,notanumber,100\n"
         "solstice,0,100\n");
   write_one_server();
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   EXPECT_EQ(result.report.count(DefectClass::kUnparseableField), 1u);
   EXPECT_EQ(result.report.count(DefectClass::kUnknownEnum), 1u);
   // Defaults survive the bad rows.
@@ -317,7 +317,7 @@ TEST_F(SanitizeTest, BadMetaRowFallsBackWithoutAborting) {
 }
 
 TEST_F(SanitizeTest, CountsCsvListsEveryClassInEnumOrder) {
-  const auto result = sanitize_database(dir());
+  const auto result = fa::testing::load_lenient(dir());
   const auto lines = split(result.report.counts_csv(), '\n');
   ASSERT_GE(lines.size(), 1u + kAllDefectClasses.size());
   EXPECT_EQ(lines[0], "class,count");
@@ -329,7 +329,7 @@ TEST_F(SanitizeTest, CountsCsvListsEveryClassInEnumOrder) {
 
 TEST_F(SanitizeTest, MissingTableStillThrows) {
   std::filesystem::remove(dir() + "/" + kTicketsFile);
-  EXPECT_THROW(sanitize_database(dir()), Error);
+  EXPECT_THROW(fa::testing::load_lenient(dir()), Error);
 }
 
 TEST_F(SanitizeTest, AnalyzeLenientReportsDroppedTickets) {

@@ -16,10 +16,24 @@
 #include "src/sim/simulator.h"
 #include "src/stats/kmeans.h"
 #include "src/stats/sparse_matrix.h"
+#include "src/trace/csv_io.h"
 #include "src/trace/database.h"
+#include "src/trace/sanitize.h"
 #include "src/util/error.h"
 
 namespace fa::testing {
+
+// A lenient load of a CSV export: the repaired database and its report.
+struct LenientLoad {
+  trace::TraceDatabase db;
+  trace::SanitizationReport report;
+};
+
+inline LenientLoad load_lenient(const std::string& directory) {
+  LenientLoad load;
+  load.db = trace::load_database(directory, &load.report);
+  return load;
+}
 
 // Builder for tiny, fully explicit trace databases used by the analysis
 // unit tests (times given in days from the ticket-window start).

@@ -86,15 +86,6 @@ def guards_match(base_guards, cur_guards, keys):
     return all(base_guards.get(k) == cur_guards.get(k) for k in keys)
 
 
-def is_gated(path, value):
-    """True when a rule other than "informational" applies to the leaf."""
-    key = path.rsplit(".", 1)[-1]
-    return (isinstance(value, bool)
-            or key in ("precision", "recall", "median_latency_days",
-                       "events_per_sec")
-            or key.endswith("_ms"))
-
-
 def compare_leaf(path, base, cur, base_guards, cur_guards):
     """Applies the rule for one leaf; returns a Row."""
     key = path.rsplit(".", 1)[-1]
@@ -164,8 +155,11 @@ def compare(baseline, current, allow_incomparable):
         if path.rsplit(".", 1)[-1] in GUARD_KEYS:
             continue  # guards are context, not metrics
         if path not in cur_leaves:
-            base = base_leaves[path][0]
-            if is_gated(path, base):
+            base, guards = base_leaves[path]
+            # A leaf is gated when its rule, applied to itself, is not
+            # informational.
+            if compare_leaf(path, base, base, guards, guards).rule \
+                    != "informational":
                 rows.append(Row(path, base, None, "must be present",
                                 REGRESSION, "missing in current"))
             else:

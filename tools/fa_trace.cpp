@@ -1125,15 +1125,15 @@ int cmd_sanitize(const std::vector<std::string>& args) {
   }
   if (dir.empty()) return usage();
 
-  const auto sanitized = trace::sanitize_database(dir);
-  std::cout << sanitized.report.to_string()
-            << "kept: " << sanitized.db.servers().size() << " servers, "
-            << sanitized.db.tickets().size() << " tickets\n";
+  trace::SanitizationReport report;
+  const trace::TraceDatabase db = trace::load_database(dir, &report);
+  std::cout << report.to_string() << "kept: " << db.servers().size()
+            << " servers, " << db.tickets().size() << " tickets\n";
   if (!counts_csv.empty()) {
-    write_text_file(counts_csv, sanitized.report.counts_csv());
+    write_text_file(counts_csv, report.counts_csv());
   }
   if (!defects_csv.empty()) {
-    write_text_file(defects_csv, sanitized.report.defects_csv());
+    write_text_file(defects_csv, report.defects_csv());
   }
   return 0;
 }
